@@ -8,7 +8,6 @@ from .model import (
     DegeneracyError,
     InvalidModelError,
     MixtureModel,
-    compute_spread,
     gaussian_log_density,
     log_likelihood,
     validate,

@@ -17,6 +17,7 @@ import numpy as np
 from .em import em_m_step
 from .estep import ResponsibilityMatrix
 from .model import DataSet, MixtureModel
+from .sem import hard_params, sample_assignment
 
 E = math.e
 
@@ -229,11 +230,16 @@ def monte_carlo_violation_rate(
     batch: int = 256,
 ) -> ViolationReport:
     """Sample assignments `trials` times from fixed responsibilities and count
-    how often each proximity bound is violated.
+    how often each proximity bound of assemble_bounds is violated by the
+    stochastic update of the sampled assignment.
 
-    Weight violations are counted unconditionally; mean violations only on
-    trials where the weight event held; covariance violations only where both
-    the weight event and the two relevant coordinate mean bounds held.
+    Each trial draws one assignment with sample_assignment and takes its
+    hard_params, the statistics the stochastic M-step uses.  Weight
+    violations are counted on every trial; mean violations only on trials
+    where the weight event held, for components whose bounds are applicable;
+    covariance violations only where, in addition, the two relevant
+    coordinate mean bounds held.  `batch` is accepted for compatibility and
+    changes neither the results nor the memory used.
     """
     if which not in ("weights", "means", "covariances"):
         raise ValueError(f"unknown target {which!r}")
@@ -241,99 +247,29 @@ def monte_carlo_violation_rate(
         raise ValueError("need at least 1000 trials")
 
     em = em_m_step(resp, data)
-    p = resp.probs
-    r = resp.column_sums
-    n, k_total = p.shape
-    d = data.d
-    x = data.points
-    w_em = r / n
-    spread = data.spread
+    report = assemble_bounds(resp, data, em, delta)
+    w_em = resp.column_sums / data.n
+    shape = {"weights": (em.k,), "means": (em.k, em.d), "covariances": (em.k, em.d, em.d)}
+    viol = np.zeros(shape[which])
+    cond = np.zeros(shape[which])
 
-    lam_w = np.array([lambda_weight(r[k], delta).value for k in range(k_total)])
-    weight_rhs = lam_w * w_em
-    shrink = 1.0 - lam_w
-
-    cum = np.cumsum(p, axis=1)
-    last_pos = k_total - 1 - np.argmax((p > 0)[:, ::-1], axis=1)
-    cum[np.arange(n), last_pos] = 1.0
-
-    need_means = which in ("means", "covariances")
-    need_cov = which == "covariances"
-    if need_means:
-        tau = compute_tau(resp, data, em.means)
-        lam_mu = np.array(
-            [
-                [lambda_mean(tau[k, i], spread[i], delta) for i in range(d)]
-                for k in range(k_total)
-            ]
-        )
-        mean_rhs = lam_mu / shrink[:, None] * tau / r[:, None]
-    if need_cov:
-        rho = compute_rho(resp, data, em.means, em.covariances)
-        lam_sig = np.array(
-            [
-                [
-                    [lambda_cov(rho[k, i, j], spread[i], spread[j], delta) for j in range(d)]
-                    for i in range(d)
-                ]
-                for k in range(k_total)
-            ]
-        )
-        cov_rhs = (
-            lam_sig / shrink[:, None, None] * rho / r[:, None, None]
-            + lam_mu[:, :, None]
-            * lam_mu[:, None, :]
-            / shrink[:, None, None] ** 2
-            * tau[:, :, None]
-            * tau[:, None, :]
-            / r[:, None, None] ** 2
-        )
-        xx = x[:, :, None] * x[:, None, :]
-
-    if which == "weights":
-        viol = np.zeros(k_total)
-        cond = np.full(k_total, float(trials))
-    elif which == "means":
-        viol = np.zeros((k_total, d))
-        cond = np.zeros((k_total, d))
-    else:
-        viol = np.zeros((k_total, d, d))
-        cond = np.zeros((k_total, d, d))
-
-    comp = np.arange(k_total)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        done += b
-        u = rng.random((b, n))
-        labels = (cum[None, :, :] <= u[:, :, None]).sum(axis=2)
-        onehot = (labels[:, :, None] == comp).astype(np.float64)
-        counts = onehot.sum(axis=1)
-        w_sem = counts / n
-        w_ok = np.abs(w_sem - w_em) <= weight_rhs
+    for _ in range(trials):
+        assign = sample_assignment(resp, rng)
+        w_ok = np.abs(assign.counts / data.n - w_em) <= report.weight_bound
         if which == "weights":
-            viol += (~w_ok).sum(axis=0)
+            cond += 1.0
+            viol += ~w_ok
             continue
-        valid = w_ok & (counts > 0)
-        sums = np.einsum("bnk,nd->bkd", onehot, x)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mu_sem = sums / counts[:, :, None]
-        mean_ok = np.abs(mu_sem - em.means) <= mean_rhs
+        valid = w_ok & report.applicable & (assign.counts > 0)
+        sem = hard_params(assign, data)
+        mean_ok = np.abs(sem.means - em.means) <= report.mean_bound
         if which == "means":
-            cond += valid.sum(axis=0)[:, None]
-            viol += (valid[:, :, None] & ~mean_ok).sum(axis=0)
+            cond += valid[:, None]
+            viol += valid[:, None] & ~mean_ok
             continue
-        s2 = np.einsum("bnk,nij->bkij", onehot, xx)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cov_sem = s2 / counts[:, :, None, None] - mu_sem[:, :, :, None] * mu_sem[:, :, None, :]
-        cond_ij = (
-            valid[:, :, None, None]
-            & mean_ok[:, :, :, None]
-            & mean_ok[:, :, None, :]
-        )
-        cov_viol = np.abs(cov_sem - em.covariances) > cov_rhs
-        cond += cond_ij.sum(axis=0)
-        viol += (cond_ij & cov_viol).sum(axis=0)
+        cond_ij = valid[:, None, None] & mean_ok[:, :, None] & mean_ok[:, None, :]
+        cond += cond_ij
+        viol += cond_ij & (np.abs(sem.covariances - em.covariances) > report.cov_bound)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         rate = np.where(cond > 0, viol / np.maximum(cond, 1.0), np.nan)

@@ -84,6 +84,7 @@ def _build_parser() -> _Parser:
 
 def _experiment_plan(args) -> ExperimentPlan:
     if (args.data is None) == (args.gen is None):
+        print("semgmm: error: give exactly one of --data or --gen", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     if args.gen is not None:
         try:

@@ -4,16 +4,9 @@ from __future__ import annotations
 import numpy as np
 
 from .estep import ResponsibilityMatrix, responsibilities
-from .model import DataError, DataSet, DegeneracyError, MixtureModel
+from .model import Assignment, DataError, DataSet, DegeneracyError, MixtureModel
 from .rng import substream
-from .sem import (
-    PartialParams,
-    SemConfig,
-    _factorizable,
-    component_mle,
-    finalize_model,
-    group_rows,
-)
+from .sem import PartialParams, SemConfig, factorizable, finalize_model, hard_params
 
 #: a component whose responsibility mass falls below this fraction of N is degenerate
 DEGENERATE_FRACTION = 1e-12
@@ -35,7 +28,7 @@ def ridge_repair(cov: np.ndarray) -> np.ndarray | None:
     eps = RIDGE_EPS_START
     while eps <= RIDGE_EPS_MAX:
         repaired = cov + (eps * scale) * np.eye(d)
-        if _factorizable(repaired):
+        if factorizable(repaired):
             return repaired
         eps *= 2.0
     return None
@@ -56,40 +49,35 @@ def _em_params(
     """Raw M-step parameters plus the list of components needing repair.
 
     When every responsibility is 0 or 1 the expectation-weighted update
-    coincides with the hard-assignment MLE, and the computation is routed
-    through the same per-component accumulation so the two algorithms agree
-    bit for bit in that case.
+    coincides with the hard-assignment MLE, and it is computed by the
+    stochastic algorithm's own hard_params, so the two algorithms agree bit
+    for bit in that case.
     """
     if resp.n != data.n:
         raise DataError("responsibilities and data disagree on N")
     p = resp.probs
     r = resp.column_sums
     n, k_total = p.shape
-    d = data.d
-    x = data.points
-    means = np.full((k_total, d), np.nan)
-    covs = np.full((k_total, d, d), np.nan)
-    degenerate: list[int] = []
-    hard = _is_hard(p)
-    if hard:
-        labels = p.argmax(axis=1)
-        grouped, offsets = group_rows(x, labels, np.bincount(labels, minlength=k_total))
-    for k in range(k_total):
-        if r[k] < DEGENERATE_FRACTION * n:
-            degenerate.append(k)
-            continue
-        if hard:
-            mu, cov = component_mle(grouped[offsets[k]:offsets[k + 1]])
-        else:
+    live = r >= DEGENERATE_FRACTION * n
+    if _is_hard(p):
+        hard = hard_params(Assignment(p.argmax(axis=1), k_total), data)
+        means, covs = hard.means, hard.covariances
+    else:
+        x = data.points
+        means = np.full((k_total, data.d), np.nan)
+        covs = np.full((k_total, data.d, data.d), np.nan)
+        for k in np.flatnonzero(live):
             pk = p[:, k]
-            mu = pk @ x / r[k]
-            xc = x - mu
+            means[k] = pk @ x / r[k]
+            xc = x - means[k]
             cov = (pk[:, None] * xc).T @ xc / r[k]
-            cov = 0.5 * (cov + cov.T)
-        means[k] = mu
-        covs[k] = cov
-        if not _factorizable(cov):
-            repaired = ridge_repair(cov)
+            covs[k] = 0.5 * (cov + cov.T)
+    degenerate: list[int] = []
+    for k in range(k_total):
+        if not live[k]:
+            degenerate.append(k)
+        elif not factorizable(covs[k]):
+            repaired = ridge_repair(covs[k])
             if repaired is None:
                 degenerate.append(k)
             else:

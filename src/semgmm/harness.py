@@ -27,7 +27,7 @@ from .estep import responsibilities
 from .ingest import load_csv
 from .model import DataSet, DegeneracyError, MixtureModel, log_likelihood
 from .rng import derive_seed, substream
-from .sem import SemConfig, sample_assignment, sem_fit, sem_m_step, sem_round
+from .sem import SemConfig, hard_params, sample_assignment, sem_fit, sem_m_step, sem_round
 from .synth import GenSpec, generate_mixture, initialize, sample_dataset
 
 _TAG_DATA, _TAG_INIT, _TAG_RUN, _TAG_EM = 0, 1, 2, 3
@@ -293,12 +293,12 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
                     em_ref = em_m_step(resp, data)
                     report = assemble_bounds(resp, data, em_ref, delta)
                     assign = sample_assignment(resp, substream(cfg.rng_seed, t, 0))
+                    sampled = hard_params(assign, data).means
                     for k in range(plan.k):
                         ok = bool(report.applicable[k]) and assign.counts[k] >= 1
                         if ok:
-                            raw_mean = data.points[assign.labels == k].mean(axis=0)
                             actual = float(
-                                np.sqrt(((raw_mean - em_ref.means[k]) ** 2).sum())
+                                np.sqrt(((sampled[k] - em_ref.means[k]) ** 2).sum())
                             )
                             bound = float(report.mean_bound_euclid[k])
                             run_rows.append((t + 1, k, actual, bound, 1))
@@ -332,12 +332,11 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
 
 @dataclass
 class OpCounter:
-    """Count of real multiplications performed in the update loops.
+    """Count of real multiplications performed by one round.
 
-    Incremented next to each numpy call site with the multiplication count of
-    the operation it performs (triangular solves, weighted accumulations,
-    outer products); portable, matching an analytical count rather than
-    hardware counters.
+    Each method adds the analytical count of one stage (the E-step's
+    triangular products, the weighted accumulations, the outer products), so
+    the count is portable rather than read from hardware counters.
     """
 
     mults: int = 0
@@ -356,24 +355,6 @@ class OpCounter:
         # each point contributes one centered outer product to exactly one
         # component (d^2); sums and counts need no multiplications
         self.mults += n * d * d
-
-
-def counted_em_round(
-    model: MixtureModel, data: DataSet, counter: OpCounter, plan_cfg: SemConfig, t: int
-) -> MixtureModel:
-    new = em_round(model, data, plan_cfg, t)
-    counter.add_estep(data.n, data.d, model.k)
-    counter.add_em_mstep(data.n, data.d, model.k)
-    return new
-
-
-def counted_sem_round(
-    model: MixtureModel, data: DataSet, counter: OpCounter, cfg: SemConfig, t: int
-) -> MixtureModel:
-    new = sem_round(model, data, cfg, t)
-    counter.add_estep(data.n, data.d, model.k)
-    counter.add_sem_mstep(data.n, data.d)
-    return new
 
 
 def _thread_settings() -> str:
@@ -400,19 +381,24 @@ def run_speed_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
     if data is None:
         data = prepare_data(plan)
     model0 = initial_models(plan, data)[0]
+    n, d, k = data.n, data.d, model0.k
+    em_count, sem_count = OpCounter(), OpCounter()
+    em_count.add_estep(n, d, k)
+    em_count.add_em_mstep(n, d, k)
+    sem_count.add_estep(n, d, k)
+    sem_count.add_sem_mstep(n, d)
     runs = {
-        "em": (counted_em_round, _em_cfg(plan, 0)),
-        "sem": (counted_sem_round, _sem_cfg(plan, 0, 0)),
+        "em": (em_round, _em_cfg(plan, 0), em_count.mults),
+        "sem": (sem_round, _sem_cfg(plan, 0, 0), sem_count.mults),
     }
     models = dict.fromkeys(runs, model0)
     rows = {algo: [] for algo in runs}
     for t in range(plan.rounds):
-        for algo, (round_fn, cfg) in runs.items():
-            counter = OpCounter()
+        for algo, (round_fn, cfg, mults) in runs.items():
             start = time.perf_counter_ns()
-            models[algo] = round_fn(models[algo], data, counter, cfg, t)
+            models[algo] = round_fn(models[algo], data, cfg, t)
             wall = time.perf_counter_ns() - start
-            rows[algo].append((algo, t + 1, counter.mults, wall))
+            rows[algo].append((algo, t + 1, mults, wall))
     out = Path(plan.out_dir) / "speed_trace.csv"
     return _write_trace(
         out,

@@ -70,11 +70,6 @@ class DataSet:
         return f"DataSet(n={self.n}, d={self.d})"
 
 
-def compute_spread(data: DataSet) -> np.ndarray:
-    """Per-coordinate spread max - min; cached on the data set."""
-    return data.spread
-
-
 def validate_params(weights, means, covariances) -> str | None:
     """Check mixture invariants on raw arrays; return the first violation or None.
 

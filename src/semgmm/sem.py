@@ -72,7 +72,8 @@ def component_mle(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, 0.5 * (cov + cov.T)
 
 
-def _factorizable(cov: np.ndarray) -> bool:
+def factorizable(cov: np.ndarray) -> bool:
+    """True when the matrix has a Cholesky factor (is positive definite)."""
     try:
         np.linalg.cholesky(cov)
         return True
@@ -144,7 +145,7 @@ def repair_component(
 
     if policy == BLEND_POLICY:
         cov = 0.5 * partial.covariances[k] + 0.5 * prev.covariances[k]
-        if _factorizable(cov):
+        if factorizable(cov):
             return partial.means[k].copy(), cov
         policy = RESAMPLE_POLICY
 
@@ -190,6 +191,26 @@ def finalize_model(
     return MixtureModel(weights, partial.means, partial.covariances)
 
 
+def hard_params(assign: Assignment, data: DataSet) -> PartialParams:
+    """Per-label Gaussian MLE: each component's mean and biased covariance
+    over the points assigned to it, and the label counts.
+
+    Empty components keep NaN rows; nothing is repaired.  This is the one
+    implementation of the hard-assignment statistics, shared by the
+    stochastic M-step, the deterministic M-step under one-hot
+    responsibilities, the bound experiment and the Monte-Carlo validator.
+    """
+    if assign.n != data.n:
+        raise DataError("assignment and data disagree on N")
+    k_total, d = assign.k, data.d
+    means = np.full((k_total, d), np.nan)
+    covs = np.full((k_total, d, d), np.nan)
+    grouped, offsets = group_rows(data.points, assign.labels, assign.counts)
+    for k in np.flatnonzero(assign.counts):
+        means[k], covs[k] = component_mle(grouped[offsets[k]:offsets[k + 1]])
+    return PartialParams(means, covs, assign.counts.astype(np.float64))
+
+
 def sem_m_step(
     assign: Assignment,
     data: DataSet,
@@ -204,23 +225,13 @@ def sem_m_step(
     non-factorizable covariance) are repaired before the weights are
     renormalized.
     """
-    if assign.n != data.n:
-        raise DataError("assignment and data disagree on N")
-    d, k_total = data.d, assign.k
-    zeta = cfg.effective_zeta(d)
-    means = np.full((k_total, d), np.nan)
-    covs = np.full((k_total, d, d), np.nan)
-    degenerate: list[int] = []
-    grouped, offsets = group_rows(data.points, assign.labels, assign.counts)
-    for k in range(k_total):
-        c_k = assign.counts[k]
-        if c_k >= 1:
-            mu, cov = component_mle(grouped[offsets[k]:offsets[k + 1]])
-            means[k] = mu
-            covs[k] = cov
-        if c_k < zeta or (c_k >= 1 and not _factorizable(covs[k])):
-            degenerate.append(k)
-    partial = PartialParams(means, covs, assign.counts.astype(np.float64))
+    partial = hard_params(assign, data)
+    zeta = cfg.effective_zeta(data.d)
+    degenerate = [
+        k
+        for k, c_k in enumerate(assign.counts)
+        if c_k < zeta or (c_k >= 1 and not factorizable(partial.covariances[k]))
+    ]
     return finalize_model(partial, degenerate, data, prev, cfg, rng)
 
 

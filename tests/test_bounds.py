@@ -273,6 +273,29 @@ class TestMonteCarloViolationRate:
         )
         np.testing.assert_array_equal(a.violation_rate, b.violation_rate)
 
+    def test_cov_rate_invariant_to_offset(self):
+        # second moments of the sampled update are taken about its own mean,
+        # so a 1e8 offset must not change which covariance bounds hold
+        x = substream(84).normal(size=(1000, 2))
+        resp = half_half_resp(1000)
+        rates = [
+            monte_carlo_violation_rate(
+                resp, DataSet(pts), 0.5, 1000, substream(85), "covariances"
+            ).violation_rate
+            for pts in (x, x + 1e8)
+        ]
+        assert np.isfinite(rates[0]).all()
+        np.testing.assert_allclose(rates[1], rates[0], atol=0.01)
+
+    def test_inapplicable_components_not_conditioned(self):
+        # the fixture of test_inapplicable_marked_nan: no mean bound exists,
+        # so no trial may count as a violation of one
+        data = DataSet(np.linspace(0.0, 1.0, 6)[:, None])
+        resp = from_probs(np.column_stack([np.full(6, 0.99), np.full(6, 0.01)]))
+        rep = monte_carlo_violation_rate(resp, data, 0.01, 1000, substream(86), "means")
+        assert np.isnan(rep.violation_rate).all()
+        assert (rep.conditioning_rate == 0.0).all()
+
     def test_rejects_few_trials(self, half_half_case):
         data, resp = half_half_case
         with pytest.raises(ValueError, match="1000"):

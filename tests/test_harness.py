@@ -306,6 +306,12 @@ class TestCli:
         res = run_cli("fit-em", "--data")  # missing value
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("source", [(), ("--data", "x.csv", "--gen", "2,2,300")])
+    def test_data_source_usage_error(self, source):
+        res = run_cli("bounds", *source)
+        assert res.returncode == 1
+        assert "semgmm: error: give exactly one of --data or --gen" in res.stderr
+
     def test_unknown_command_exit_code(self):
         res = run_cli("frobnicate")
         assert res.returncode == 1

@@ -1,0 +1,20 @@
+"""Layering rule: no library module imports another module's private names."""
+import ast
+from pathlib import Path
+
+import semgmm
+
+SRC = Path(semgmm.__file__).parent
+
+
+def test_no_private_cross_module_imports():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [
+                    f"{path.name}: from {'.' * node.level}{node.module or ''} import {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert offenders == []

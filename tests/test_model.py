@@ -14,7 +14,6 @@ from semgmm import (
     InvalidModelError,
     MixtureModel,
     SemConfig,
-    compute_spread,
     em_fit,
     gaussian_log_density,
     log_likelihood,
@@ -31,21 +30,21 @@ HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 class TestDataSet:
     def test_spread_basic(self):
         data = DataSet([[0.0, 1.0], [3.0, -1.0]])
-        np.testing.assert_array_equal(compute_spread(data), [3.0, 2.0])
+        np.testing.assert_array_equal(data.spread, [3.0, 2.0])
 
     def test_spread_single_point(self):
-        assert compute_spread(DataSet([[5.0]])) == np.array([0.0])
+        assert DataSet([[5.0]]).spread == np.array([0.0])
 
     def test_spread_after_normalization_is_one(self):
         pts = substream(5).random((100, 3)) * 7.0 - 3.0
         normalized, _ = normalize(DataSet(pts))
-        np.testing.assert_array_equal(compute_spread(normalized), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(normalized.spread, [1.0, 1.0, 1.0])
 
     def test_spread_translation_invariant(self):
         pts = substream(6).normal(size=(50, 2))
         shifted = pts + np.array([123.0, -7.0])
         np.testing.assert_allclose(
-            compute_spread(DataSet(pts)), compute_spread(DataSet(shifted)),
+            DataSet(pts).spread, DataSet(shifted).spread,
             rtol=0, atol=1e-12,
         )
 
@@ -229,6 +228,6 @@ class TestAssignment:
 )
 @settings(max_examples=50, deadline=None)
 def test_spread_shift_property(pts, shift):
-    base = compute_spread(DataSet(pts))
-    moved = compute_spread(DataSet(pts + shift))
+    base = DataSet(pts).spread
+    moved = DataSet(pts + shift).spread
     assert np.allclose(base, moved, rtol=0, atol=1e-9 * (1 + np.abs(pts).max()))

@@ -15,7 +15,7 @@ from semgmm import (
 )
 from semgmm.em import em_m_step
 from semgmm.estep import from_probs
-from semgmm.sem import PartialParams, component_mle, repair_component
+from semgmm.sem import PartialParams, component_mle, hard_params, repair_component
 from semgmm.rng import substream
 
 from conftest import make_instance, separated_instance
@@ -131,6 +131,25 @@ class TestSampleUnnormalizedRows:
         assert (1.0 - 2.0**-53) * rows[0].sum() == rows[0].sum()
         labels = sample_assignment(rows, _MaxDraw()).labels
         np.testing.assert_array_equal(labels, [3, 0, 1])
+
+
+class TestHardParams:
+    def test_matches_masked_mle_and_leaves_empty_nan(self):
+        rng = substream(55)
+        pts = rng.normal(size=(60, 2))
+        labels = rng.integers(0, 2, size=60) * 2  # component 1 stays empty
+        hard = hard_params(Assignment(labels, 3), DataSet(pts))
+        for k in (0, 2):
+            mu, cov = component_mle(pts[labels == k])
+            np.testing.assert_array_equal(hard.means[k], mu)
+            np.testing.assert_array_equal(hard.covariances[k], cov)
+        assert np.isnan(hard.means[1]).all() and np.isnan(hard.covariances[1]).all()
+        np.testing.assert_array_equal(hard.counts, np.bincount(labels, minlength=3))
+        assert hard.repaired == []
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(DataError):
+            hard_params(Assignment([0, 1], 2), DataSet(np.zeros((3, 1))))
 
 
 class TestSemMStep:
