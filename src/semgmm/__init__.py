@@ -8,7 +8,6 @@ from .model import (
     DegeneracyError,
     InvalidModelError,
     MixtureModel,
-    gaussian_log_density,
     log_likelihood,
     validate,
 )

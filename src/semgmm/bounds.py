@@ -10,7 +10,8 @@ a chosen failure budget delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,14 +82,19 @@ def lambda_cov(rho_kij: float, spread_i: float, spread_j: float, delta: float) -
 def compute_tau(
     resp: ResponsibilityMatrix, data: DataSet, em_means: np.ndarray
 ) -> np.ndarray:
-    """K x D matrix tau[k, d] = sqrt(sum_n p_nk (1-p_nk) (x_n - mu_k)_d^2)."""
+    """K x D matrix tau[k, d] = sqrt(sum_n p_nk (1-p_nk) (x_n - mu_k)_d^2).
+
+    One N x D temporary per component: the centered points are squared in
+    place and reduced with a single matrix-vector product.
+    """
     p = resp.probs
     q = p * (1.0 - p)
     k_total = p.shape[1]
     out = np.empty((k_total, data.d))
     for k in range(k_total):
-        xc = data.points - em_means[k]
-        out[k] = np.sqrt((q[:, k, None] * xc * xc).sum(axis=0))
+        xc2 = data.points - em_means[k]
+        xc2 *= xc2
+        out[k] = np.sqrt(q[:, k] @ xc2)
     return out
 
 
@@ -102,8 +108,12 @@ def compute_rho(
     """K x D x D tensor rho[k, i, j] = sqrt(sum_n p_nk (1-p_nk)
     ((x_n - mu_k)(x_n - mu_k)^T - Sigma_k)_{ij}^2).
 
-    Processes points in chunks so the N outer products are never
-    materialized simultaneously.
+    With xc = x - mu_k and q = p (1-p), the sum expands to
+    (xc^2)^T (q xc^2) - 2 Sigma_k o xc^T (q xc) + Sigma_k^2 sum q, two
+    D x D matrix products accumulated over blocks of `chunk` rows, so the
+    N outer products are never formed and the temporaries stay at a few
+    chunk x D arrays.  The expansion subtracts; rounding below zero is
+    clamped to 0.
     """
     p = resp.probs
     q = p * (1.0 - p)
@@ -111,13 +121,19 @@ def compute_rho(
     d = data.d
     out = np.empty((k_total, d, d))
     for k in range(k_total):
-        acc = np.zeros((d, d))
+        fourth = np.zeros((d, d))
+        second = np.zeros((d, d))
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             xc = data.points[start:stop] - em_means[k]
-            dev = xc[:, :, None] * xc[:, None, :] - em_covs[k]
-            acc += (q[start:stop, k, None, None] * dev * dev).sum(axis=0)
-        out[k] = np.sqrt(acc)
+            qxc = q[start:stop, k, None] * xc
+            second += xc.T @ qxc
+            qxc *= xc
+            xc *= xc
+            fourth += xc.T @ qxc
+        cov = em_covs[k]
+        acc = fourth - 2.0 * cov * second + cov * cov * q[:, k].sum()
+        out[k] = np.sqrt(np.maximum(acc, 0.0))
     return out
 
 
@@ -129,18 +145,52 @@ class BoundReport:
     inapplicable (hypothesis failed or lambda_w >= 1); `applicable` carries
     that flag per component.  Inapplicability is data, not an error: clamping
     would fabricate guarantees.
+
+    `rho` and `cov_bound` are computed from the report's own inputs on first
+    access and cached, so callers that read only weight and mean bounds never
+    pay for rho.
     """
 
     delta: float
+    resp: ResponsibilityMatrix = field(repr=False, compare=False)
+    data: DataSet = field(repr=False, compare=False)
+    em_model: MixtureModel = field(repr=False, compare=False)
     lambda_w: np.ndarray            # (K,)
     weight_applicable: np.ndarray   # (K,) bool, concentration hypothesis
     applicable: np.ndarray          # (K,) bool, usable for mean/cov bounds
     tau: np.ndarray                 # (K, D)
-    rho: np.ndarray                 # (K, D, D)
+    lambda_mu: np.ndarray           # (K, D), NaN where not applicable
     weight_bound: np.ndarray        # (K,)
     mean_bound: np.ndarray          # (K, D)
     mean_bound_euclid: np.ndarray   # (K,)
-    cov_bound: np.ndarray           # (K, D, D)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """(K, D, D) covariance deviation scales."""
+        return compute_rho(
+            self.resp, self.data, self.em_model.means, self.em_model.covariances
+        )
+
+    @cached_property
+    def cov_bound(self) -> np.ndarray:
+        """(K, D, D) covariance bounds, NaN where not applicable."""
+        rho = self.rho
+        r = self.resp.column_sums
+        spread = self.data.spread
+        tau, lam_mu = self.tau, self.lambda_mu
+        k_total, d = self.em_model.k, self.em_model.d
+        cov_bound = np.full((k_total, d, d), np.nan)
+        for k in np.flatnonzero(self.applicable):
+            shrink = 1.0 - self.lambda_w[k]
+            for i in range(d):
+                for j in range(d):
+                    lam_sig = lambda_cov(rho[k, i, j], spread[i], spread[j], self.delta)
+                    cov_bound[k, i, j] = (
+                        lam_sig / shrink * rho[k, i, j] / r[k]
+                        + lam_mu[k, i] * lam_mu[k, j] / shrink**2
+                        * tau[k, i] * tau[k, j] / r[k] ** 2
+                    )
+        return cov_bound
 
 
 def assemble_bounds(
@@ -153,22 +203,22 @@ def assemble_bounds(
 
     The caller chooses delta; to get a joint guarantee over all K(D+1) weight
     and mean-coordinate checks at level 1/100 via the union bound, pass
-    delta = 1/(100 K (D+1)).
+    delta = 1/(100 K (D+1)).  Covariance bounds are left to the report's
+    first access of `cov_bound`.
     """
     r = resp.column_sums
     k_total, d = em_model.k, em_model.d
     spread = data.spread
     tau = compute_tau(resp, data, em_model.means)
-    rho = compute_rho(resp, data, em_model.means, em_model.covariances)
     w_em = r / data.n
 
     lam_w = np.empty(k_total)
     weight_applicable = np.empty(k_total, dtype=bool)
     applicable = np.empty(k_total, dtype=bool)
     weight_bound = np.empty(k_total)
+    lam_mu = np.full((k_total, d), np.nan)
     mean_bound = np.full((k_total, d), np.nan)
     mean_bound_euclid = np.full(k_total, np.nan)
-    cov_bound = np.full((k_total, d, d), np.nan)
 
     for k in range(k_total):
         lw = lambda_weight(r[k], delta)
@@ -178,30 +228,22 @@ def assemble_bounds(
         weight_bound[k] = lw.value * w_em[k]
         if not lw.usable_downstream:
             continue
-        shrink = 1.0 - lw.value
-        lam_mu = np.array(
-            [lambda_mean(tau[k, i], spread[i], delta) for i in range(d)]
-        )
-        mean_bound[k] = lam_mu / shrink * tau[k] / r[k]
+        lam_mu[k] = [lambda_mean(tau[k, i], spread[i], delta) for i in range(d)]
+        mean_bound[k] = lam_mu[k] / (1.0 - lw.value) * tau[k] / r[k]
         mean_bound_euclid[k] = float(np.sqrt((mean_bound[k] ** 2).sum()))
-        for i in range(d):
-            for j in range(d):
-                lam_sig = lambda_cov(rho[k, i, j], spread[i], spread[j], delta)
-                cov_bound[k, i, j] = (
-                    lam_sig / shrink * rho[k, i, j] / r[k]
-                    + lam_mu[i] * lam_mu[j] / shrink**2 * tau[k, i] * tau[k, j] / r[k] ** 2
-                )
     return BoundReport(
         delta=delta,
+        resp=resp,
+        data=data,
+        em_model=em_model,
         lambda_w=lam_w,
         weight_applicable=weight_applicable,
         applicable=applicable,
         tau=tau,
-        rho=rho,
+        lambda_mu=lam_mu,
         weight_bound=weight_bound,
         mean_bound=mean_bound,
         mean_bound_euclid=mean_bound_euclid,
-        cov_bound=cov_bound,
     )
 
 

@@ -30,6 +30,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DEGENERACY = 3
 
+DEFAULT_ROUNDS = 50
+DEFAULT_INITS = 3
+DEFAULT_RUNS = 10
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -45,24 +49,27 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=Path, default=Path("."))
-    common.add_argument("--rounds", type=int, default=50)
     common.add_argument("--k", type=int, default=3)
     common.add_argument("--delta", type=float, default=None)
+    # the experiment commands add --rounds, --inits and --runs unset, so
+    # that an explicit value can be told from a default when --profile is given
+    with_rounds = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_rounds.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
 
-    g = sub.add_parser("gen", parents=[common], help="generate a synthetic mixture and data set")
+    g = sub.add_parser("gen", parents=[with_rounds], help="generate a synthetic mixture and data set")
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--weight-mode", choices=("balanced", "unbalanced"), default="balanced")
     g.add_argument("--overlap", type=float, default=1.5)
 
-    i = sub.add_parser("init", parents=[common], help="draw an initial model from a data set")
+    i = sub.add_parser("init", parents=[with_rounds], help="draw an initial model from a data set")
     i.add_argument("--data", type=Path, required=True)
 
-    nrm = sub.add_parser("normalize", parents=[common], help="min-max normalize a data set to [0, 1]")
+    nrm = sub.add_parser("normalize", parents=[with_rounds], help="min-max normalize a data set to [0, 1]")
     nrm.add_argument("--data", type=Path, required=True)
 
     for name in ("fit-em", "fit-sem"):
-        f = sub.add_parser(name, parents=[common], help=f"run {name.split('-')[1]} for a fixed round count")
+        f = sub.add_parser(name, parents=[with_rounds], help=f"run {name.split('-')[1]} for a fixed round count")
         f.add_argument("--data", type=Path, required=True)
         f.add_argument("--model", type=Path, required=True)
 
@@ -75,17 +82,25 @@ def _build_parser() -> _Parser:
         c.add_argument("--data", type=Path, default=None)
         c.add_argument("--gen", metavar="D,K,N", default=None,
                        help="synthesize data instead of loading --data")
-        c.add_argument("--inits", type=int, default=3)
-        c.add_argument("--runs", type=int, default=10)
+        c.add_argument("--rounds", type=int, default=None)
+        c.add_argument("--inits", type=int, default=None)
+        c.add_argument("--runs", type=int, default=None)
         c.add_argument("--jobs", type=int, default=1)
         c.add_argument("--profile", choices=("ci", "full"), default=None)
     return p
 
 
+def _usage_error(message: str):
+    print(f"semgmm: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _experiment_plan(args) -> ExperimentPlan:
     if (args.data is None) == (args.gen is None):
-        print("semgmm: error: give exactly one of --data or --gen", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error("give exactly one of --data or --gen")
+    budget = (args.inits, args.runs, args.rounds)
+    if args.profile is not None and any(v is not None for v in budget):
+        _usage_error("--profile cannot be combined with --inits/--runs/--rounds")
     if args.gen is not None:
         try:
             d, k, n = (int(v) for v in args.gen.split(","))
@@ -99,9 +114,9 @@ def _experiment_plan(args) -> ExperimentPlan:
     plan = ExperimentPlan(
         dataset=dataset,
         k=args.k,
-        rounds=args.rounds,
-        n_inits=args.inits,
-        runs_per_init=args.runs,
+        rounds=DEFAULT_ROUNDS if args.rounds is None else args.rounds,
+        n_inits=DEFAULT_INITS if args.inits is None else args.inits,
+        runs_per_init=DEFAULT_RUNS if args.runs is None else args.runs,
         master_seed=args.seed,
         delta=args.delta,
         out_dir=str(args.out),

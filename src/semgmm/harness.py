@@ -293,19 +293,21 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
                     em_ref = em_m_step(resp, data)
                     report = assemble_bounds(resp, data, em_ref, delta)
                     assign = sample_assignment(resp, substream(cfg.rng_seed, t, 0))
-                    sampled = hard_params(assign, data).means
+                    # one hard_params serves the row and the update; the rows
+                    # are read first, because repair writes into `partial`
+                    partial = hard_params(assign, data)
                     for k in range(plan.k):
                         ok = bool(report.applicable[k]) and assign.counts[k] >= 1
                         if ok:
                             actual = float(
-                                np.sqrt(((sampled[k] - em_ref.means[k]) ** 2).sum())
+                                np.sqrt(((partial.means[k] - em_ref.means[k]) ** 2).sum())
                             )
                             bound = float(report.mean_bound_euclid[k])
                             run_rows.append((t + 1, k, actual, bound, 1))
                         else:
                             run_rows.append((t + 1, k, None, None, 0))
                     model = sem_m_step(
-                        assign, data, model, cfg, substream(cfg.rng_seed, t, 1)
+                        partial, data, model, cfg, substream(cfg.rng_seed, t, 1)
                     )
             except DegeneracyError as exc:
                 return exc

@@ -5,7 +5,6 @@ All types are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -186,27 +185,6 @@ class Assignment:
         counts.setflags(write=False)
         self.counts = counts
         self.n = lab.size
-
-
-def gaussian_log_density(mean, chol_factor, x) -> np.ndarray | float:
-    """Multivariate normal log-density evaluated via the cached Cholesky factor.
-
-    Returns -0.5 * (D ln(2 pi) + ln det Sigma + (x - mu)^T Sigma^-1 (x - mu)),
-    solving with the triangular factor rather than forming an inverse.
-    Accepts a single D-vector or an (N, D) matrix of points.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    d = mean.shape[0]
-    xc = x2 - mean  # fresh buffer; (xc.T is F-order, solved in place)
-    y = solve_triangular(chol_factor, xc.T, lower=True,
-                         overwrite_b=True, check_finite=False)
-    maha = np.einsum("ij,ij->j", y, y)
-    log_det = 2.0 * np.log(np.diagonal(chol_factor)).sum()
-    out = -0.5 * (d * LOG_2PI + log_det + maha)
-    return float(out[0]) if single else out
 
 
 def component_log_joint(model: MixtureModel, data: DataSet) -> np.ndarray:

@@ -212,24 +212,25 @@ def hard_params(assign: Assignment, data: DataSet) -> PartialParams:
 
 
 def sem_m_step(
-    assign: Assignment,
+    partial: PartialParams,
     data: DataSet,
     prev: MixtureModel,
     cfg: SemConfig,
     rng: np.random.Generator,
 ) -> MixtureModel:
-    """Maximize the complete-data likelihood for a fixed assignment.
+    """Maximize the complete-data likelihood for a fixed assignment, given
+    its hard_params.
 
     Weights become counts/N and each component takes the Gaussian MLE of its
     own points; components with fewer than zeta points (or with a
     non-factorizable covariance) are repaired before the weights are
-    renormalized.
+    renormalized.  Repair writes into `partial`, so read what is needed from
+    it before this call.
     """
-    partial = hard_params(assign, data)
     zeta = cfg.effective_zeta(data.d)
     degenerate = [
         k
-        for k, c_k in enumerate(assign.counts)
+        for k, c_k in enumerate(partial.counts)
         if c_k < zeta or (c_k >= 1 and not factorizable(partial.covariances[k]))
     ]
     return finalize_model(partial, degenerate, data, prev, cfg, rng)
@@ -243,7 +244,9 @@ def sem_round(
     assign = sample_assignment(
         posterior_weights(model, data), substream(cfg.rng_seed, t, 0)
     )
-    return sem_m_step(assign, data, model, cfg, substream(cfg.rng_seed, t, 1))
+    return sem_m_step(
+        hard_params(assign, data), data, model, cfg, substream(cfg.rng_seed, t, 1)
+    )
 
 
 def sem_fit(

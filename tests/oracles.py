@@ -1,9 +1,14 @@
-"""Independent scalar re-implementations used as test oracles.
+"""Independent re-implementations used as test oracles.
 
-Everything here is written with plain Python loops and the math module,
-deliberately sharing no code with the package, so agreement is meaningful.
+The scalar oracles are written with plain Python loops and the math module;
+the array oracles keep the direct formulas that the package's kernels replace
+with faster, reordered ones.  None of them shares code with the package, so
+agreement is meaningful.
 """
 import math
+
+import numpy as np
+from scipy.linalg import solve_triangular
 
 
 def scalar_em_update(points, probs):
@@ -83,4 +88,49 @@ def naive_responsibilities(points, weights, means, variances):
         ]
         total = sum(dens)
         out.append([d / total for d in dens])
+    return out
+
+
+def gaussian_log_density(mean, chol_factor, x):
+    """Multivariate normal log-density through a triangular solve with the
+    Cholesky factor: -0.5 (D ln(2 pi) + ln det Sigma + (x-mu)^T Sigma^-1 (x-mu)).
+
+    Accepts a single D-vector or an (N, D) matrix of points.
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    xc = np.atleast_2d(x) - mean
+    y = solve_triangular(chol_factor, xc.T, lower=True, check_finite=False)
+    maha = np.einsum("ij,ij->j", y, y)
+    log_det = 2.0 * np.log(np.diagonal(chol_factor)).sum()
+    out = -0.5 * (mean.shape[0] * math.log(2.0 * math.pi) + log_det + maha)
+    return float(out[0]) if single else out
+
+
+def elementwise_tau(probs, points, means):
+    """K x D tau, summing p(1-p) (x - mu)^2 elementwise per component."""
+    q = probs * (1.0 - probs)
+    out = np.empty((probs.shape[1], points.shape[1]))
+    for k in range(probs.shape[1]):
+        xc = points - means[k]
+        out[k] = np.sqrt((q[:, k, None] * xc * xc).sum(axis=0))
+    return out
+
+
+def chunked_rho(probs, points, means, covs, chunk=8192):
+    """K x D x D rho from explicit outer products, `chunk` points at a time:
+    sqrt(sum_n p(1-p) ((x-mu)(x-mu)^T - Sigma)^2), with no expansion."""
+    q = probs * (1.0 - probs)
+    n, k_total = probs.shape
+    d = points.shape[1]
+    out = np.empty((k_total, d, d))
+    for k in range(k_total):
+        acc = np.zeros((d, d))
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            xc = points[start:stop] - means[k]
+            dev = xc[:, :, None] * xc[:, None, :] - covs[k]
+            acc += (q[start:stop, k, None, None] * dev * dev).sum(axis=0)
+        out[k] = np.sqrt(acc)
     return out

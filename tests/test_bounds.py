@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import semgmm.bounds
 from semgmm import (
     DataSet,
     assemble_bounds,
@@ -20,6 +21,8 @@ from semgmm.rng import substream
 
 from conftest import make_instance
 from oracles import (
+    chunked_rho,
+    elementwise_tau,
     scalar_bound_report,
     scalar_lambda_dev,
     scalar_lambda_w,
@@ -166,12 +169,52 @@ class TestTauRho:
         small = compute_rho(resp, data, em.means, em.covariances, chunk=7)
         np.testing.assert_allclose(big, small, rtol=1e-10)
 
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6)])
+    def test_match_array_oracles(self, d, offset, scale):
+        # the GEMV/GEMM kernels against the elementwise and explicit
+        # outer-product formulas they replace, far from the origin and at
+        # tiny scale as well
+        rng = substream(87, d)
+        n, k = 3000, 3
+        pts = rng.normal(size=(n, d)) * (1.0 + rng.random(d))
+        pts[: n // 3] += 2.0
+        raw = rng.random((n, k)) + 0.05
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        data = DataSet(pts * scale + offset)
+        resp = from_probs(probs)
+        em = em_m_step(resp, data)
+        np.testing.assert_allclose(
+            compute_tau(resp, data, em.means),
+            elementwise_tau(probs, data.points, em.means),
+            rtol=1e-10, atol=0,
+        )
+        np.testing.assert_allclose(
+            compute_rho(resp, data, em.means, em.covariances),
+            chunked_rho(probs, data.points, em.means, em.covariances),
+            rtol=1e-10, atol=0,
+        )
+
     def test_rho_symmetric(self):
         _, data, _, model0 = make_instance(73, d=3, k=2, n=400)
         resp = responsibilities(model0, data)
         em = em_m_step(resp, data)
         rho = compute_rho(resp, data, em.means, em.covariances)
         np.testing.assert_allclose(rho, np.swapaxes(rho, 1, 2), rtol=1e-12)
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """Records each call of the module-level compute_rho, which is what
+    BoundReport calls when rho is first needed."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compute_rho(*args, **kwargs)
+
+    monkeypatch.setattr(semgmm.bounds, "compute_rho", counting)
+    return calls
 
 
 class TestAssembleBounds:
@@ -192,6 +235,20 @@ class TestAssembleBounds:
             if applicable:
                 assert report.mean_bound[k, 0] == pytest.approx(mb, rel=1e-10)
                 assert report.cov_bound[k, 0, 0] == pytest.approx(cb, rel=1e-10)
+
+    def test_rho_computed_on_first_access(self, rho_calls):
+        _, data, _, model0 = make_instance(75, d=3, k=2, n=5000)
+        resp = responsibilities(model0, data)
+        em = em_m_step(resp, data)
+        report = assemble_bounds(resp, data, em, 0.05)
+        assert np.isfinite(report.mean_bound_euclid).all()
+        assert rho_calls == []
+        cov_bound = report.cov_bound
+        assert report.cov_bound is cov_bound
+        np.testing.assert_array_equal(
+            report.rho, compute_rho(resp, data, em.means, em.covariances)
+        )
+        assert len(rho_calls) == 1
 
     def test_inapplicable_marked_nan(self):
         # tiny responsibility mass: hypothesis 2 e^{-r/3} <= delta fails
@@ -295,6 +352,14 @@ class TestMonteCarloViolationRate:
         rep = monte_carlo_violation_rate(resp, data, 0.01, 1000, substream(86), "means")
         assert np.isnan(rep.violation_rate).all()
         assert (rep.conditioning_rate == 0.0).all()
+
+    @pytest.mark.parametrize("which, calls", [
+        ("weights", 0), ("means", 0), ("covariances", 1),
+    ])
+    def test_rho_only_for_covariances(self, half_half_case, rho_calls, which, calls):
+        data, resp = half_half_case
+        monte_carlo_violation_rate(resp, data, 0.05, 1000, substream(88), which)
+        assert len(rho_calls) == calls
 
     def test_rejects_few_trials(self, half_half_case):
         data, resp = half_half_case

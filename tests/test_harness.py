@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import semgmm.bounds
 from semgmm import (
     ExperimentPlan,
     GenSpec,
@@ -181,6 +182,17 @@ class TestBoundExperiment:
             else:
                 assert r[4] == "" and r[5] == ""
 
+    def test_never_computes_rho(self, tmp_path, monkeypatch):
+        # the trace needs mean bounds only; covariance bounds stay unevaluated
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compute_rho called by the bound experiment")
+
+        monkeypatch.setattr(semgmm.bounds, "compute_rho", forbidden)
+        plan = tiny_plan(tmp_path, dataset=GenSpec(d=2, k=2, n=2000, rng_seed=6),
+                         master_seed=6)
+        _, _, rows = read_trace(run_bound_experiment(plan))
+        assert any(r[6] == "1" for r in rows)
+
 
 class TestSpeedExperiment:
     def test_trace_and_counts(self, tmp_path):
@@ -311,6 +323,21 @@ class TestCli:
         res = run_cli("bounds", *source)
         assert res.returncode == 1
         assert "semgmm: error: give exactly one of --data or --gen" in res.stderr
+
+    @pytest.mark.parametrize("flag", ["--inits", "--runs", "--rounds"])
+    def test_profile_with_explicit_budget(self, tmp_path, flag):
+        res = run_cli("speed", "--gen", "2,2,300", "--profile", "ci", flag, 2,
+                      "--out", tmp_path)
+        assert res.returncode == 1
+        assert ("semgmm: error: --profile cannot be combined with "
+                "--inits/--runs/--rounds") in res.stderr
+        assert not (tmp_path / "speed_trace.csv").exists()
+
+    def test_profile_alone(self, tmp_path):
+        res = run_cli("speed", "--gen", "2,2,300", "--profile", "ci", "--out", tmp_path)
+        assert res.returncode == 0, res.stderr
+        _, _, rows = read_trace(tmp_path / "speed_trace.csv")
+        assert len(rows) == 2 * 20  # the ci profile's 20 rounds per algorithm
 
     def test_unknown_command_exit_code(self):
         res = run_cli("frobnicate")

@@ -1,4 +1,6 @@
-"""Layering rule: no library module imports another module's private names."""
+"""Layering rules: no library module imports another module's private names,
+and none imports scipy, whose separately linked BLAS would start a second
+thread pool competing with numpy's for the cores."""
 import ast
 from pathlib import Path
 
@@ -17,4 +19,22 @@ def test_no_private_cross_module_imports():
                     for a in node.names
                     if a.name.startswith("_")
                 ]
+    assert offenders == []
+
+
+def test_no_scipy_imports():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.name}: {name}"
+                for name in names
+                if name == "scipy" or name.startswith("scipy.")
+            ]
     assert offenders == []

@@ -159,7 +159,9 @@ class TestSemMStep:
         prev = MixtureModel(
             [0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [np.eye(2)] * 2
         )
-        model = sem_m_step(assign, data, prev, SemConfig(), substream(56, 1))
+        model = sem_m_step(
+            hard_params(assign, data), data, prev, SemConfig(), substream(56, 1)
+        )
         for k in range(2):
             mu, cov = component_mle(data.points[labels == k])
             np.testing.assert_array_equal(model.means[k], mu)
@@ -175,9 +177,9 @@ class TestSemMStep:
         labels = np.zeros(50, dtype=int)
         labels[0] = 1
         prev = MixtureModel([0.5, 0.5], [[0.0, 0.0], [3.0, 3.0]], [np.eye(2)] * 2)
-        model = sem_m_step(
-            Assignment(labels, 2), DataSet(pts), prev, SemConfig(), rng
-        )
+        data = DataSet(pts)
+        partial = hard_params(Assignment(labels, 2), data)
+        model = sem_m_step(partial, data, prev, SemConfig(), rng)
         assert validate(model) is None
 
     def test_keep_policy_preserves_covariance(self):
@@ -190,7 +192,9 @@ class TestSemMStep:
             [0.5, 0.5], [[0.0, 0.0], [3.0, 3.0]], [np.eye(2), prev_cov]
         )
         cfg = SemConfig(repair_policy="keep_previous_covariance")
-        model = sem_m_step(Assignment(labels, 2), DataSet(pts), prev, cfg, rng)
+        data = DataSet(pts)
+        partial = hard_params(Assignment(labels, 2), data)
+        model = sem_m_step(partial, data, prev, cfg, rng)
         np.testing.assert_array_equal(model.covariances[1], prev_cov)
         mu, _ = component_mle(pts[:2])
         np.testing.assert_array_equal(model.means[1], mu)
@@ -205,7 +209,9 @@ class TestSemMStep:
             [0.5, 0.5], [np.zeros(3), np.ones(3)], [np.eye(3), prev_cov]
         )
         cfg = SemConfig(repair_policy="blend_with_previous")
-        model = sem_m_step(Assignment(labels, 2), DataSet(pts), prev, cfg, rng)
+        data = DataSet(pts)
+        partial = hard_params(Assignment(labels, 2), data)
+        model = sem_m_step(partial, data, prev, cfg, rng)
         _, raw_cov = component_mle(pts[:3])
         np.testing.assert_allclose(
             model.covariances[1], 0.5 * raw_cov + 0.5 * prev_cov, rtol=1e-12
@@ -220,8 +226,9 @@ class TestSemMStep:
             ("resample_mean_fresh_covariance", "blend_with_previous",
              "keep_previous_covariance")
         ):
+            data = DataSet(pts)
             model = sem_m_step(
-                Assignment(labels, 2), DataSet(pts), prev,
+                hard_params(Assignment(labels, 2), data), data, prev,
                 SemConfig(repair_policy=policy), substream(60, pi)
             )
             assert validate(model) is None
