@@ -29,6 +29,7 @@ from .ingest import NormalizationRecord, load_csv, load_model, normalize, save_c
 from .harness import (
     ExperimentPlan,
     run_bound_experiment,
+    run_compare_experiment,
     run_diff_experiment,
     run_likelihood_experiment,
     run_speed_experiment,

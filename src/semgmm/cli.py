@@ -12,17 +12,15 @@ from pathlib import Path
 
 from .harness import (
     ExperimentPlan,
-    prepare_data,
     run_bound_experiment,
-    run_diff_experiment,
-    run_likelihood_experiment,
+    run_compare_experiment,
     run_speed_experiment,
 )
 from .em import em_fit
 from .ingest import load_csv, load_model, normalize, save_csv, save_model
 from .model import DataError, DataSet, DegeneracyError, InvalidModelError
 from .rng import substream
-from .sem import SemConfig, sem_fit
+from .sem import SemConfig, check_rounds, sem_fit
 from .synth import GenSpec, generate_mixture, initialize, sample_dataset
 
 EXIT_OK = 0
@@ -46,39 +44,39 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="semgmm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", type=Path, default=Path("."))
-    common.add_argument("--k", type=int, default=3)
-    common.add_argument("--delta", type=float, default=None)
-    # the experiment commands add --rounds, --inits and --runs unset, so
-    # that an explicit value can be told from a default when --profile is given
-    with_rounds = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_rounds.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
+    with_out = argparse.ArgumentParser(add_help=False)
+    with_out.add_argument("--out", type=Path, default=Path("."))
+    with_seed = argparse.ArgumentParser(add_help=False, parents=[with_out])
+    with_seed.add_argument("--seed", type=int, default=0)
+    with_k = argparse.ArgumentParser(add_help=False, parents=[with_seed])
+    with_k.add_argument("--k", type=int, default=3)
 
-    g = sub.add_parser("gen", parents=[with_rounds], help="generate a synthetic mixture and data set")
+    g = sub.add_parser("gen", parents=[with_k], help="generate a synthetic mixture and data set")
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--weight-mode", choices=("balanced", "unbalanced"), default="balanced")
     g.add_argument("--overlap", type=float, default=1.5)
 
-    i = sub.add_parser("init", parents=[with_rounds], help="draw an initial model from a data set")
+    i = sub.add_parser("init", parents=[with_k], help="draw an initial model from a data set")
     i.add_argument("--data", type=Path, required=True)
 
-    nrm = sub.add_parser("normalize", parents=[with_rounds], help="min-max normalize a data set to [0, 1]")
+    nrm = sub.add_parser("normalize", parents=[with_out], help="min-max normalize a data set to [0, 1]")
     nrm.add_argument("--data", type=Path, required=True)
 
     for name in ("fit-em", "fit-sem"):
-        f = sub.add_parser(name, parents=[with_rounds], help=f"run {name.split('-')[1]} for a fixed round count")
+        f = sub.add_parser(name, parents=[with_seed], help=f"run {name.split('-')[1]} for a fixed round count")
         f.add_argument("--data", type=Path, required=True)
         f.add_argument("--model", type=Path, required=True)
+        f.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
 
+    # the experiment commands add --rounds, --inits and --runs unset, so
+    # that an explicit value can be told from a default when --profile is given
     for name, hlp in (
         ("compare", "paired likelihood and difference traces"),
         ("bounds", "bound-vs-actual mean distance trace"),
         ("speed", "multiplication-count and wall-clock trace"),
     ):
-        c = sub.add_parser(name, parents=[common], help=hlp)
+        c = sub.add_parser(name, parents=[with_k], help=hlp)
         c.add_argument("--data", type=Path, default=None)
         c.add_argument("--gen", metavar="D,K,N", default=None,
                        help="synthesize data instead of loading --data")
@@ -87,6 +85,8 @@ def _build_parser() -> _Parser:
         c.add_argument("--runs", type=int, default=None)
         c.add_argument("--jobs", type=int, default=1)
         c.add_argument("--profile", choices=("ci", "full"), default=None)
+        if name == "bounds":
+            c.add_argument("--delta", type=float, default=None)
     return p
 
 
@@ -95,7 +95,16 @@ def _usage_error(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
-def _experiment_plan(args) -> ExperimentPlan:
+def _checked(build, **flags):
+    """build(**flags), where a ValueError that rejects a flag value is a
+    usage error."""
+    try:
+        return build(**flags)
+    except ValueError as exc:
+        _usage_error(str(exc))
+
+
+def _experiment_plan(args, delta: float | None = None) -> ExperimentPlan:
     if (args.data is None) == (args.gen is None):
         _usage_error("give exactly one of --data or --gen")
     budget = (args.inits, args.runs, args.rounds)
@@ -105,20 +114,20 @@ def _experiment_plan(args) -> ExperimentPlan:
         try:
             d, k, n = (int(v) for v in args.gen.split(","))
         except ValueError:
-            print("--gen expects D,K,N", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE) from None
-        dataset: str | GenSpec = GenSpec(d=d, k=k, n=n, rng_seed=args.seed)
+            _usage_error("--gen expects D,K,N")
+        dataset: str | GenSpec = _checked(GenSpec, d=d, k=k, n=n, rng_seed=args.seed)
         args.k = k
     else:
         dataset = str(args.data)
-    plan = ExperimentPlan(
+    plan = _checked(
+        ExperimentPlan,
         dataset=dataset,
         k=args.k,
         rounds=DEFAULT_ROUNDS if args.rounds is None else args.rounds,
         n_inits=DEFAULT_INITS if args.inits is None else args.inits,
         runs_per_init=DEFAULT_RUNS if args.runs is None else args.runs,
         master_seed=args.seed,
-        delta=args.delta,
+        delta=delta,
         out_dir=str(args.out),
         n_jobs=args.jobs,
     )
@@ -130,9 +139,9 @@ def _experiment_plan(args) -> ExperimentPlan:
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(d=args.d, k=args.k, n=args.n,
-                   weight_mode=args.weight_mode, overlap=args.overlap,
-                   rng_seed=args.seed)
+    spec = _checked(GenSpec, d=args.d, k=args.k, n=args.n,
+                    weight_mode=args.weight_mode, overlap=args.overlap,
+                    rng_seed=args.seed)
     truth = generate_mixture(spec, substream(args.seed, 0, 0))
     data, labels = sample_dataset(truth, args.n, substream(args.seed, 0, 1))
     out = args.out
@@ -162,13 +171,11 @@ def _cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(args, stochastic: bool) -> int:
+def _cmd_fit(args, fit) -> int:
+    _checked(check_rounds, rounds=args.rounds)
     data = load_csv(args.data)
     model0 = load_model(args.model)
-    if stochastic:
-        traj = sem_fit(model0, data, args.rounds, SemConfig(rng_seed=args.seed))
-    else:
-        traj = em_fit(model0, data, args.rounds, SemConfig(rng_seed=args.seed))
+    traj = fit(model0, data, args.rounds, SemConfig(rng_seed=args.seed))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     save_model(traj[-1] if traj else model0, out / "final_model.txt")
@@ -176,22 +183,17 @@ def _cmd_fit(args, stochastic: bool) -> int:
 
 
 def _cmd_compare(args) -> int:
-    plan = _experiment_plan(args)
-    data = prepare_data(plan)
-    run_likelihood_experiment(plan, data)
-    run_diff_experiment(plan, data)
+    run_compare_experiment(_experiment_plan(args))
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    plan = _experiment_plan(args)
-    run_bound_experiment(plan)
+    run_bound_experiment(_experiment_plan(args, delta=args.delta))
     return EXIT_OK
 
 
 def _cmd_speed(args) -> int:
-    plan = _experiment_plan(args)
-    run_speed_experiment(plan)
+    run_speed_experiment(_experiment_plan(args))
     return EXIT_OK
 
 
@@ -205,9 +207,9 @@ def main(argv=None) -> int:
         if args.command == "normalize":
             return _cmd_normalize(args)
         if args.command == "fit-em":
-            return _cmd_fit(args, stochastic=False)
+            return _cmd_fit(args, em_fit)
         if args.command == "fit-sem":
-            return _cmd_fit(args, stochastic=True)
+            return _cmd_fit(args, sem_fit)
         if args.command == "compare":
             return _cmd_compare(args)
         if args.command == "bounds":

@@ -6,7 +6,7 @@ import numpy as np
 from .estep import ResponsibilityMatrix, responsibilities
 from .model import Assignment, DataError, DataSet, DegeneracyError, MixtureModel
 from .rng import substream
-from .sem import PartialParams, SemConfig, factorizable, finalize_model, hard_params
+from .sem import PartialParams, SemConfig, factorizable, finalize_model, fit_rounds, hard_params
 
 #: a component whose responsibility mass falls below this fraction of N is degenerate
 DEGENERATE_FRACTION = 1e-12
@@ -129,16 +129,5 @@ def em_fit(
     the same machinery as the stochastic algorithm; the repair stream is
     derived from repair_cfg.rng_seed so the run stays reproducible.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    if data.n < data.d + 1:
-        raise DataError(f"need N >= D+1 points, got N={data.n}, D={data.d}")
-    if model0.d != data.d:
-        raise DataError(f"model dimension {model0.d} != data dimension {data.d}")
     cfg = repair_cfg if repair_cfg is not None else SemConfig()
-    model = model0
-    trajectory: list[MixtureModel] = []
-    for t in range(rounds):
-        model = em_round(model, data, cfg, t)
-        trajectory.append(model)
-    return trajectory
+    return fit_rounds(em_round, model0, data, rounds, cfg)

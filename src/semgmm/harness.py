@@ -58,6 +58,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.rounds < 1 or self.n_inits < 1 or self.runs_per_init < 1:
             raise ValueError("rounds, n_inits and runs_per_init must be >= 1")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
+        if self.n_jobs < 1:
+            raise ValueError("n_jobs must be >= 1")
 
     def ci_scale(self) -> "ExperimentPlan":
         """Desk-scale profile: 3 inits x 10 runs x 20 rounds."""
@@ -136,6 +140,147 @@ def _em_cfg(plan: ExperimentPlan, i: int) -> SemConfig:
     return replace(plan.sem, rng_seed=derive_seed(plan.master_seed, _TAG_EM, i))
 
 
+def _sweep(plan: ExperimentPlan, data: DataSet, per_init, per_run):
+    """The per-init scaffolding of the protocol experiments.
+
+    Draws the plan's initial models, computes ctx = per_init(i, model0) once
+    per init, and fans per_run(i, j, model0, ctx) out over the init's runs on
+    plan.n_jobs threads; a run that raises DegeneracyError is excluded.
+    Returns the trace comments (one hash line per init, then one line per
+    excluded run) and, per init, ctx with the results of its kept runs in
+    run order.
+    """
+    inits = initial_models(plan, data)
+    comments = [f"init {i} hash {model_hash(m)}" for i, m in enumerate(inits)]
+    excluded = []
+    swept = []
+    for i, model0 in enumerate(inits):
+        ctx = per_init(i, model0)
+
+        def one_run(j, i=i, model0=model0, ctx=ctx):
+            try:
+                return per_run(i, j, model0, ctx)
+            except DegeneracyError as exc:
+                return exc
+
+        results = _map_runs(one_run, range(plan.runs_per_init), plan.n_jobs)
+        kept = []
+        for j in sorted(results):
+            if isinstance(results[j], DegeneracyError):
+                excluded.append(f"excluded: init {i} run {j}: {results[j]}")
+            else:
+                kept.append(results[j])
+        swept.append((ctx, kept))
+    return comments + excluded, swept
+
+
+def _run_protocols(plan: ExperimentPlan, data: DataSet, protocols) -> list[Path]:
+    """One sweep for all the given protocols: EM runs once per init and SEM
+    once per (init, run).
+
+    A protocol is a pair (payload, write).  payload(i, j, em_traj, sem_traj)
+    runs inside the run's task; write(plan, comments, swept) writes the trace
+    from, per init, the EM trajectory and the payloads of its kept runs.
+    """
+
+    def em_trajectory(i, model0):
+        return em_fit(model0, data, plan.rounds, _em_cfg(plan, i))
+
+    def payloads(i, j, model0, em_traj):
+        sem_traj = sem_fit(model0, data, plan.rounds, _sem_cfg(plan, i, j))
+        return [payload(i, j, em_traj, sem_traj) for payload, _ in protocols]
+
+    comments, swept = _sweep(plan, data, em_trajectory, payloads)
+    return [
+        write(plan, comments, [(em_traj, [run[n] for run in kept]) for em_traj, kept in swept])
+        for n, (_, write) in enumerate(protocols)
+    ]
+
+
+def _likelihood_protocol(data: DataSet):
+    def payload(i, j, em_traj, sem_traj):
+        return [-log_likelihood(m, data) for m in sem_traj]
+
+    def write(plan, comments, swept):
+        rows = []
+        for i, (em_traj, nlls) in enumerate(swept):
+            for t, m in enumerate(em_traj, start=1):
+                rows.append((i, "em", t, "value", -log_likelihood(m, data)))
+            if not nlls:
+                continue
+            arr = np.array(nlls)  # (runs, rounds)
+            for t in range(plan.rounds):
+                col = arr[:, t]
+                stats = {
+                    "min": col.min(),
+                    "q1": np.percentile(col, 25),
+                    "median": np.percentile(col, 50),
+                    "q3": np.percentile(col, 75),
+                    "max": col.max(),
+                }
+                for name, value in stats.items():
+                    rows.append((i, "sem", t + 1, name, float(value)))
+        titles = [
+            "semgmm likelihood trace",
+            "stats over stochastic runs; quartiles use linear interpolation on sorted values",
+        ]
+        out = Path(plan.out_dir) / "likelihood_trace.csv"
+        return _write_trace(
+            out, titles + comments, ["init_id", "algorithm", "round", "stat", "nll"], rows
+        )
+
+    return payload, write
+
+
+def diff_normalizers(data: DataSet) -> tuple[float, float]:
+    """Scale units for mean and covariance differences:
+    Gamma_mu = sqrt(D) * max_d spread_d, Gamma_Sigma = D * (max_d spread_d)^2."""
+    delta = float(data.spread.max())
+    return float(np.sqrt(data.d)) * delta, float(data.d) * delta**2
+
+
+def _diff_protocol(data: DataSet):
+    gamma_mu, gamma_sigma = diff_normalizers(data)
+    d = data.d
+
+    def payload(i, j, em_traj, sem_traj):
+        rows = []
+        for t, (em_m, sem_m) in enumerate(zip(em_traj, sem_traj), start=1):
+            for k in range(em_m.k):
+                w_diff = float(em_m.weights[k] - sem_m.weights[k])
+                rows.append((i, j, t, k, "weight", None, None, w_diff, w_diff))
+                nu = em_m.means[k] - sem_m.means[k]
+                for a in range(d):
+                    rows.append(
+                        (i, j, t, k, "mean", a, None, float(nu[a]), float(nu[a] / gamma_mu))
+                    )
+                e = float(np.sqrt((nu**2).sum()))
+                rows.append((i, j, t, k, "mean_euclid", None, None, e, e / gamma_mu))
+                cd = em_m.covariances[k] - sem_m.covariances[k]
+                for a in range(d):
+                    for b in range(d):
+                        rows.append(
+                            (i, j, t, k, "cov", a, b, float(cd[a, b]), float(cd[a, b] / gamma_sigma))
+                        )
+                fro = float(np.sqrt((cd**2).sum()))
+                rows.append((i, j, t, k, "cov_frobenius", None, None, fro, fro / gamma_sigma))
+        return rows
+
+    def write(plan, comments, swept):
+        titles = [
+            "semgmm diff trace",
+            f"gamma_mu {FLOAT_FMT % gamma_mu} gamma_sigma {FLOAT_FMT % gamma_sigma}",
+        ]
+        header = [
+            "init_id", "run_id", "round", "component", "param",
+            "index_i", "index_j", "raw_diff", "normalized_diff",
+        ]
+        rows = [row for _, kept in swept for run in kept for row in run]
+        return _write_trace(Path(plan.out_dir) / "diff_trace.csv", titles + comments, header, rows)
+
+    return payload, write
+
+
 def run_likelihood_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> Path:
     """First protocol: negative log-likelihood per round.
 
@@ -145,58 +290,7 @@ def run_likelihood_experiment(plan: ExperimentPlan, data: DataSet | None = None)
     """
     if data is None:
         data = prepare_data(plan)
-    inits = initial_models(plan, data)
-    comments = [
-        "semgmm likelihood trace",
-        "stats over stochastic runs; quartiles use linear interpolation on sorted values",
-    ]
-    comments += [f"init {i} hash {model_hash(m)}" for i, m in enumerate(inits)]
-    rows = []
-    excluded = []
-    for i, model0 in enumerate(inits):
-        em_traj = em_fit(model0, data, plan.rounds, _em_cfg(plan, i))
-        for t, m in enumerate(em_traj, start=1):
-            rows.append((i, "em", t, "value", -log_likelihood(m, data)))
-
-        def one_run(j, model0=model0, i=i):
-            try:
-                traj = sem_fit(model0, data, plan.rounds, _sem_cfg(plan, i, j))
-                return [-log_likelihood(m, data) for m in traj]
-            except DegeneracyError as exc:
-                return exc
-
-        results = _map_runs(one_run, range(plan.runs_per_init), plan.n_jobs)
-        nlls = []
-        for j in sorted(results):
-            if isinstance(results[j], DegeneracyError):
-                excluded.append(f"excluded: init {i} run {j}: {results[j]}")
-            else:
-                nlls.append(results[j])
-        if not nlls:
-            continue
-        arr = np.array(nlls)  # (runs, rounds)
-        for t in range(plan.rounds):
-            col = arr[:, t]
-            stats = {
-                "min": col.min(),
-                "q1": np.percentile(col, 25),
-                "median": np.percentile(col, 50),
-                "q3": np.percentile(col, 75),
-                "max": col.max(),
-            }
-            for name, value in stats.items():
-                rows.append((i, "sem", t + 1, name, float(value)))
-    out = Path(plan.out_dir) / "likelihood_trace.csv"
-    return _write_trace(
-        out, comments + excluded, ["init_id", "algorithm", "round", "stat", "nll"], rows
-    )
-
-
-def diff_normalizers(data: DataSet) -> tuple[float, float]:
-    """Scale units for mean and covariance differences:
-    Gamma_mu = sqrt(D) * max_d spread_d, Gamma_Sigma = D * (max_d spread_d)^2."""
-    delta = float(data.spread.max())
-    return float(np.sqrt(data.d)) * delta, float(data.d) * delta**2
+    return _run_protocols(plan, data, [_likelihood_protocol(data)])[0]
 
 
 def run_diff_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> Path:
@@ -208,56 +302,21 @@ def run_diff_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> Pa
     """
     if data is None:
         data = prepare_data(plan)
-    inits = initial_models(plan, data)
-    gamma_mu, gamma_sigma = diff_normalizers(data)
-    comments = [
-        "semgmm diff trace",
-        f"gamma_mu {FLOAT_FMT % gamma_mu} gamma_sigma {FLOAT_FMT % gamma_sigma}",
-    ]
-    comments += [f"init {i} hash {model_hash(m)}" for i, m in enumerate(inits)]
-    rows = []
-    excluded = []
-    d = data.d
-    for i, model0 in enumerate(inits):
-        em_traj = em_fit(model0, data, plan.rounds, _em_cfg(plan, i))
+    return _run_protocols(plan, data, [_diff_protocol(data)])[0]
 
-        def one_run(j, model0=model0):
-            try:
-                return sem_fit(model0, data, plan.rounds, _sem_cfg(plan, i, j))
-            except DegeneracyError as exc:
-                return exc
 
-        results = _map_runs(one_run, range(plan.runs_per_init), plan.n_jobs)
-        for j in sorted(results):
-            sem_traj = results[j]
-            if isinstance(sem_traj, DegeneracyError):
-                excluded.append(f"excluded: init {i} run {j}: {sem_traj}")
-                continue
-            for t, (em_m, sem_m) in enumerate(zip(em_traj, sem_traj), start=1):
-                for k in range(plan.k):
-                    w_diff = float(em_m.weights[k] - sem_m.weights[k])
-                    rows.append((i, j, t, k, "weight", None, None, w_diff, w_diff))
-                    nu = em_m.means[k] - sem_m.means[k]
-                    for a in range(d):
-                        rows.append(
-                            (i, j, t, k, "mean", a, None, float(nu[a]), float(nu[a] / gamma_mu))
-                        )
-                    e = float(np.sqrt((nu**2).sum()))
-                    rows.append((i, j, t, k, "mean_euclid", None, None, e, e / gamma_mu))
-                    cd = em_m.covariances[k] - sem_m.covariances[k]
-                    for a in range(d):
-                        for b in range(d):
-                            rows.append(
-                                (i, j, t, k, "cov", a, b, float(cd[a, b]), float(cd[a, b] / gamma_sigma))
-                            )
-                    fro = float(np.sqrt((cd**2).sum()))
-                    rows.append((i, j, t, k, "cov_frobenius", None, None, fro, fro / gamma_sigma))
-    out = Path(plan.out_dir) / "diff_trace.csv"
-    header = [
-        "init_id", "run_id", "round", "component", "param",
-        "index_i", "index_j", "raw_diff", "normalized_diff",
-    ]
-    return _write_trace(out, comments + excluded, header, rows)
+def run_compare_experiment(
+    plan: ExperimentPlan, data: DataSet | None = None
+) -> tuple[Path, Path]:
+    """The likelihood and diff traces from one pass over the plan.
+
+    Each EM and SEM trajectory is computed once and feeds both traces, whose
+    bytes equal those of run_likelihood_experiment and run_diff_experiment.
+    """
+    if data is None:
+        data = prepare_data(plan)
+    lik, diff = _run_protocols(plan, data, [_likelihood_protocol(data), _diff_protocol(data)])
+    return lik, diff
 
 
 def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> Path:
@@ -272,60 +331,39 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
     """
     if data is None:
         data = prepare_data(plan)
-    inits = initial_models(plan, data)
     delta = effective_delta(plan, data.d)
-    comments = [
-        "semgmm bound trace",
-        f"per-check delta {FLOAT_FMT % delta}",
-    ]
-    comments += [f"init {i} hash {model_hash(m)}" for i, m in enumerate(inits)]
-    rows = []
-    excluded = []
-    for i, model0 in enumerate(inits):
 
-        def one_run(j, model0=model0):
-            cfg = _sem_cfg(plan, i, j)
-            model = model0
-            run_rows = []
-            try:
-                for t in range(plan.rounds):
-                    resp = responsibilities(model, data)
-                    em_ref = em_m_step(resp, data)
-                    report = assemble_bounds(resp, data, em_ref, delta)
-                    assign = sample_assignment(resp, substream(cfg.rng_seed, t, 0))
-                    # one hard_params serves the row and the update; the rows
-                    # are read first, because repair writes into `partial`
-                    partial = hard_params(assign, data)
-                    for k in range(plan.k):
-                        ok = bool(report.applicable[k]) and assign.counts[k] >= 1
-                        if ok:
-                            actual = float(
-                                np.sqrt(((partial.means[k] - em_ref.means[k]) ** 2).sum())
-                            )
-                            bound = float(report.mean_bound_euclid[k])
-                            run_rows.append((t + 1, k, actual, bound, 1))
-                        else:
-                            run_rows.append((t + 1, k, None, None, 0))
-                    model = sem_m_step(
-                        partial, data, model, cfg, substream(cfg.rng_seed, t, 1)
-                    )
-            except DegeneracyError as exc:
-                return exc
-            return run_rows
+    def bound_run(i, j, model0, _):
+        cfg = _sem_cfg(plan, i, j)
+        model = model0
+        rows = []
+        for t in range(plan.rounds):
+            resp = responsibilities(model, data)
+            em_ref = em_m_step(resp, data)
+            report = assemble_bounds(resp, data, em_ref, delta)
+            assign = sample_assignment(resp, substream(cfg.rng_seed, t, 0))
+            # one hard_params serves the row and the update; the rows are
+            # read first, because repair writes into `partial`
+            partial = hard_params(assign, data)
+            for k in range(plan.k):
+                if report.applicable[k] and assign.counts[k] >= 1:
+                    actual = float(np.sqrt(((partial.means[k] - em_ref.means[k]) ** 2).sum()))
+                    bound = float(report.mean_bound_euclid[k])
+                    rows.append((i, j, t + 1, k, actual, bound, 1))
+                else:
+                    rows.append((i, j, t + 1, k, None, None, 0))
+            model = sem_m_step(partial, data, model, cfg, substream(cfg.rng_seed, t, 1))
+        return rows
 
-        results = _map_runs(one_run, range(plan.runs_per_init), plan.n_jobs)
-        for j in sorted(results):
-            if isinstance(results[j], DegeneracyError):
-                excluded.append(f"excluded: init {i} run {j}: {results[j]}")
-                continue
-            for t, k, actual, bound, applicable in results[j]:
-                rows.append((i, j, t, k, actual, bound, applicable))
+    comments, swept = _sweep(plan, data, lambda i, model0: None, bound_run)
+    rows = [row for _, kept in swept for run in kept for row in run]
     out = Path(plan.out_dir) / "bound_trace.csv"
+    titles = ["semgmm bound trace", f"per-check delta {FLOAT_FMT % delta}"]
     header = [
         "init_id", "run_id", "round", "component",
         "actual_euclid", "bound_euclid", "applicable",
     ]
-    return _write_trace(out, comments + excluded, header, rows)
+    return _write_trace(out, titles + comments, header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,31 @@ def sem_round(
     )
 
 
+def check_rounds(rounds: int) -> None:
+    """Reject a negative round count."""
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+
+
+def fit_rounds(
+    round_fn, model0: MixtureModel, data: DataSet, rounds: int, cfg: SemConfig
+) -> list[MixtureModel]:
+    """The fixed-round loop of both algorithms: after checking the
+    arguments, apply round_fn(model, data, cfg, t) for t = 0, ..., rounds - 1
+    and return the trajectory.  Stopping is by round count only."""
+    check_rounds(rounds)
+    if data.n < data.d + 1:
+        raise DataError(f"need N >= D+1 points, got N={data.n}, D={data.d}")
+    if model0.d != data.d:
+        raise DataError(f"model dimension {model0.d} != data dimension {data.d}")
+    model = model0
+    trajectory: list[MixtureModel] = []
+    for t in range(rounds):
+        model = round_fn(model, data, cfg, t)
+        trajectory.append(model)
+    return trajectory
+
+
 def sem_fit(
     model0: MixtureModel,
     data: DataSet,
@@ -262,13 +287,4 @@ def sem_fit(
     (rng_seed, round, purpose) so runs are reproducible and independent
     across seeds.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    if data.n < data.d + 1:
-        raise DataError(f"need N >= D+1 points, got N={data.n}, D={data.d}")
-    model = model0
-    trajectory: list[MixtureModel] = []
-    for t in range(rounds):
-        model = sem_round(model, data, cfg, t)
-        trajectory.append(model)
-    return trajectory
+    return fit_rounds(sem_round, model0, data, rounds, cfg)

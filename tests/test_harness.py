@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 import semgmm.bounds
+import semgmm.em
+import semgmm.harness
+import semgmm.sem
 from semgmm import (
+    DegeneracyError,
     ExperimentPlan,
     GenSpec,
     load_csv,
     load_model,
     run_bound_experiment,
+    run_compare_experiment,
     run_diff_experiment,
     run_likelihood_experiment,
     run_speed_experiment,
@@ -24,6 +29,7 @@ from semgmm.harness import (
     model_hash,
     prepare_data,
 )
+from semgmm.rng import derive_seed
 
 
 def tiny_plan(tmp_path, **overrides):
@@ -236,13 +242,18 @@ class TestSpeedExperiment:
 
 
 class TestDeterminism:
-    def test_jobs_invariant(self, tmp_path):
+    @pytest.mark.parametrize(
+        "experiment",
+        [run_likelihood_experiment, run_diff_experiment, run_bound_experiment],
+        ids=["likelihood", "diff", "bound"],
+    )
+    def test_jobs_invariant(self, tmp_path, experiment):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         p1 = tiny_plan(tmp_path / "a", n_jobs=1)
         p2 = tiny_plan(tmp_path / "b", n_jobs=2)
-        f1 = run_likelihood_experiment(p1)
-        f2 = run_likelihood_experiment(p2)
+        f1 = experiment(p1)
+        f2 = experiment(p2)
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_rerun_identical(self, tmp_path):
@@ -251,6 +262,76 @@ class TestDeterminism:
         f1 = run_diff_experiment(tiny_plan(tmp_path / "a"))
         f2 = run_diff_experiment(tiny_plan(tmp_path / "b"))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def run_traces(out, experiment, **overrides):
+    """Run one experiment on tiny_plan in a fresh directory; returns the
+    (comments, header, rows) and the bytes of each trace it writes."""
+    out.mkdir()
+    result = experiment(tiny_plan(out, **overrides))
+    paths = result if isinstance(result, tuple) else (result,)
+    return [read_trace(p) for p in paths], [p.read_bytes() for p in paths]
+
+
+def force_exclusion(monkeypatch, plan, i, j):
+    """Make every SEM M-step of run j from init i raise DegeneracyError."""
+    # the run's stream, (master, 2, i, j) in the harness's seeding layout
+    target = derive_seed(plan.master_seed, 2, i, j)
+    real = semgmm.sem.sem_m_step
+
+    def m_step(partial, data, prev, cfg, rng):
+        if cfg.rng_seed == target:
+            raise DegeneracyError(0, "forced")
+        return real(partial, data, prev, cfg, rng)
+
+    for module in (semgmm.sem, semgmm.harness):
+        monkeypatch.setattr(module, "sem_m_step", m_step)
+
+
+EXPERIMENTS = {
+    "likelihood": run_likelihood_experiment,
+    "diff": run_diff_experiment,
+    "bound": run_bound_experiment,
+    "compare": run_compare_experiment,
+}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_excluded_run(self, tmp_path, monkeypatch, name):
+        experiment = EXPERIMENTS[name]
+        base3, _ = run_traces(tmp_path / "runs3", experiment)
+        base2, _ = run_traces(tmp_path / "runs2", experiment, runs_per_init=2)
+        force_exclusion(monkeypatch, tiny_plan(tmp_path), 1, 2)
+        forced, bytes1 = run_traces(tmp_path / "jobs1", experiment, n_jobs=1)
+        _, bytes2 = run_traces(tmp_path / "jobs2", experiment, n_jobs=2)
+        assert bytes1 == bytes2
+        note = "# excluded: init 1 run 2: component 0: forced"
+        for (comments, header, rows), (c3, _, rows3), (_, _, rows2) in zip(forced, base3, base2):
+            assert comments == c3 + [note]
+            if header[1] == "algorithm":
+                # the likelihood statistics of init 1 are over its runs 0 and 1
+                expected = [r for r in rows3 if r[0] == "0"] + [r for r in rows2 if r[0] == "1"]
+            else:
+                expected = [r for r in rows3 if r[:2] != ["1", "2"]]
+            assert rows == expected
+
+    def test_compare_single_pass(self, tmp_path, monkeypatch):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        plan = tiny_plan(tmp_path / "a", n_jobs=2)
+        singles = [run_likelihood_experiment(plan), run_diff_experiment(plan)]
+        calls = []  # list.append is atomic, so worker threads may share it
+        for module, name in ((semgmm.em, "em_round"), (semgmm.sem, "sem_round")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        paths = run_compare_experiment(tiny_plan(tmp_path / "b", n_jobs=2))
+        assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in singles]
+        assert calls.count("em_round") == plan.n_inits * plan.rounds
+        assert calls.count("sem_round") == plan.n_inits * plan.runs_per_init * plan.rounds
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +419,24 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         _, _, rows = read_trace(tmp_path / "speed_trace.csv")
         assert len(rows) == 2 * 20  # the ci profile's 20 rounds per algorithm
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--gen", "2,2,300", "--rounds", 0),
+        ("compare", "--gen", "2,2,300", "--inits", 0),
+        ("bounds", "--gen", "2,0,300"),
+        ("bounds", "--gen", "2,2,300", "--delta", 2),
+        ("speed", "--gen", "2,2,300", "--jobs", 0),
+        ("speed", "--gen", "2,2"),
+        ("gen", "--d", 2, "--n", 0),
+        ("fit-em", "--data", "absent.csv", "--model", "absent.txt", "--rounds", -1),
+    ], ids=["rounds-0", "inits-0", "gen-k-0", "delta-2", "jobs-0", "gen-two-fields",
+            "gen-n-0", "fit-rounds-negative"])
+    def test_rejected_flag_value(self, tmp_path, argv):
+        res = run_cli(*argv, "--out", tmp_path)
+        assert res.returncode == 1
+        assert "semgmm: error: " in res.stderr
+        assert "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command_exit_code(self):
         res = run_cli("frobnicate")

@@ -7,6 +7,7 @@ from semgmm import (
     DataSet,
     MixtureModel,
     SemConfig,
+    em_fit,
     responsibilities,
     sample_assignment,
     sem_fit,
@@ -279,6 +280,14 @@ class TestSemFit:
         model0 = MixtureModel([1.0], [np.zeros(3)], [np.eye(3)])
         with pytest.raises(DataError, match="D\\+1"):
             sem_fit(model0, DataSet(np.zeros((2, 3)) + np.eye(3)[:2]), 1, SemConfig())
+
+    @pytest.mark.parametrize("fit", [em_fit, sem_fit])
+    def test_model_of_other_dimension_rejected(self, fit):
+        # both algorithms check their arguments before the first round
+        _, data, _, _ = make_instance(63, d=3, k=2, n=100)
+        model0 = MixtureModel([1.0], [np.zeros(2)], [np.eye(2)])
+        with pytest.raises(DataError, match="model dimension 2 != data dimension 3"):
+            fit(model0, data, 0, SemConfig())
 
     def test_hard_responsibilities_match_em(self):
         # widely separated clusters: responsibilities round to exactly {0, 1},
