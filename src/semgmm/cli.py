@@ -21,7 +21,7 @@ from .ingest import load_csv, load_model, normalize, save_csv, save_model
 from .model import DataError, DataSet, DegeneracyError, InvalidModelError
 from .rng import substream
 from .sem import SemConfig, check_rounds, sem_fit
-from .synth import GenSpec, generate_mixture, initialize, sample_dataset
+from .synth import GenSpec, check_k, generate_mixture, initialize, sample_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,6 +154,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_init(args) -> int:
+    _checked(check_k, k=args.k)
     data = load_csv(args.data)
     model = initialize(data, args.k, substream(args.seed, 1, 0))
     args.out.parent.mkdir(parents=True, exist_ok=True)

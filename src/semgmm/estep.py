@@ -5,7 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataError, DataSet, MixtureModel, component_log_joint
+# component_log_joint is re-exported: callers that trace or patch the
+# E-step's log-joint look it up here as well as in model
+from .model import DataError, DataSet, MixtureModel, component_log_joint, normalized_joint
 
 ROW_SUM_TOL = 1e-12
 
@@ -15,17 +17,19 @@ class ResponsibilityMatrix:
     """N x K posterior matrix p_nk plus cached column sums r_k.
 
     Rows are probability vectors (each sums to 1); r_k = sum_n p_nk is the
-    expected number of points owned by component k.  Column sums are
-    p.sum(axis=0) over the C-order N x K array, which numpy accumulates row
-    by row, not pairwise: at N = 1e7 a constant 0.1 column sums to 1.6e-10
-    relative off the exact total.
+    expected number of points owned by component k.  `probs` keeps the
+    layout it is given.  The E-step stores it component-major: `probs` is
+    the N x K transposed view of a contiguous K x N buffer, so each
+    component's column p[:, k] is contiguous and its sum r_k is a pairwise
+    sum (at N = 1e7 a constant 0.1 column is exact, where a row-by-row sum
+    is 1.6e-10 relative off).
     """
 
     probs: np.ndarray
     column_sums: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.probs, dtype=np.float64)
+        p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 2:
             raise DataError("responsibilities must be an N x K matrix")
         r = np.asarray(self.column_sums, dtype=np.float64)
@@ -57,8 +61,11 @@ class ResponsibilityMatrix:
 
 
 def from_probs(probs: np.ndarray) -> ResponsibilityMatrix:
-    """Wrap an untrusted row-stochastic matrix, validating the invariants."""
-    p = np.ascontiguousarray(probs, dtype=np.float64)
+    """Wrap an untrusted row-stochastic matrix, validating the invariants.
+
+    The copy is stored component-major, as the E-step stores its own.
+    """
+    p = np.array(probs, dtype=np.float64, order="F")
     resp = ResponsibilityMatrix(p, p.sum(axis=0))
     problem = resp.check()
     if problem is not None:
@@ -72,27 +79,20 @@ def posterior_weights(model: MixtureModel, data: DataSet) -> np.ndarray:
     m_n is the row maximum of the log numerators, so every row's largest
     entry is exactly 1 and no row underflows to all zeros.  A row is
     proportional to the posterior; samplers draw from it directly, without
-    the division that turns it into responsibilities.
+    the division that turns it into responsibilities.  The N x K result is
+    the transposed view of model.normalized_joint's K x N buffer.
     """
-    lj = component_log_joint(model, data)
-    m = lj.max(axis=1)
-    if not np.isfinite(m).all():
-        row = int(np.argmin(np.isfinite(m)))
-        raise DataError(
-            f"row {row}: point is infinitely unlikely under every component"
-        )
-    lj -= m[:, None]
-    return np.exp(lj, out=lj)
+    return normalized_joint(model, data)[0].T
 
 
 def responsibilities(model: MixtureModel, data: DataSet) -> ResponsibilityMatrix:
     """Posterior p_nk = w_k N(x_n|mu_k, Sigma_k) / sum_j w_j N(x_n|mu_j, Sigma_j).
 
-    Computed row-wise in log-space: the per-row log numerators are shifted by
-    their maximum before exponentiation (posterior_weights), and rows are
-    renormalized exactly by the final division.  Mandatory for
-    high-dimensional data where direct densities underflow.
+    Computed in log-space: each point's log numerators are shifted by their
+    maximum before exponentiation (model.normalized_joint), and the
+    posteriors are renormalized exactly by the final division.  Mandatory
+    for high-dimensional data where direct densities underflow.
     """
-    p = posterior_weights(model, data)
-    p /= p.sum(axis=1, keepdims=True)
-    return ResponsibilityMatrix(p, p.sum(axis=0))
+    q, s, _ = normalized_joint(model, data)
+    q /= s
+    return ResponsibilityMatrix(q.T, q.sum(axis=1))

@@ -28,7 +28,7 @@ from .ingest import load_csv
 from .model import DataSet, DegeneracyError, MixtureModel, log_likelihood
 from .rng import derive_seed, substream
 from .sem import SemConfig, hard_params, sample_assignment, sem_fit, sem_m_step, sem_round
-from .synth import GenSpec, generate_mixture, initialize, sample_dataset
+from .synth import GenSpec, check_k, generate_mixture, initialize, sample_dataset
 
 _TAG_DATA, _TAG_INIT, _TAG_RUN, _TAG_EM = 0, 1, 2, 3
 
@@ -56,6 +56,7 @@ class ExperimentPlan:
     sem: SemConfig = field(default_factory=SemConfig)
 
     def __post_init__(self):
+        check_k(self.k)
         if self.rounds < 1 or self.n_inits < 1 or self.runs_per_init < 1:
             raise ValueError("rounds, n_inits and runs_per_init must be >= 1")
         if self.delta is not None and not 0.0 < self.delta < 1.0:

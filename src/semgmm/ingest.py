@@ -6,6 +6,7 @@ save/load round-trips are value-exact.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,10 +24,27 @@ def _fmt(v: float) -> str:
 def load_csv(path) -> DataSet:
     """Load a headerless numeric CSV (one point per row, '.' decimals).
 
-    Rejects empty files, ragged rows, and non-numeric or non-finite tokens,
-    naming the offending row and column (1-based).
+    Rejects empty files, ragged rows, blank lines after the first row, and
+    non-numeric or non-finite tokens, naming the offending row and column
+    (1-based).  numpy's loadtxt parses the common well-formed file; it
+    accepts blank lines and nan/inf tokens, so any file that has those, or
+    that it fails on, goes to the row parser, which names the fault.
     """
     path = Path(path)
+    body = path.read_text(encoding="utf-8").lstrip("\n")
+    if body and "\n\n" not in body:
+        try:
+            points = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            points = None
+        if points is not None and np.isfinite(points).all():
+            return DataSet(points)
+    return _parse_rows(path)
+
+
+def _parse_rows(path: Path) -> DataSet:
+    """load_csv's reference parser: one line at a time, with row and column
+    in every error."""
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, "r", encoding="utf-8") as fh:

@@ -1,8 +1,12 @@
 """Core domain types: data sets, Gaussian mixture models, hard assignments.
 
-All types are immutable after construction and safe for concurrent reads.
+All types are immutable after construction and safe for concurrent reads;
+the one field written later, a model's log-likelihood memo, is replaced in
+a single assignment of the same value for the same data set.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -149,6 +153,13 @@ class MixtureModel:
         prec_chol = np.ascontiguousarray(np.linalg.inv(chol).transpose(0, 2, 1))
         prec_chol.setflags(write=False)
         self.prec_chol = prec_chol
+        # (weak reference to a DataSet, log-likelihood on it), written by
+        # normalized_joint on every E-step and read by log_likelihood
+        self._loglik = None
+
+    def __getstate__(self):
+        # a weak reference cannot be pickled; the memo is recomputed on demand
+        return {**self.__dict__, "_loglik": None}
 
     def __repr__(self):
         return f"MixtureModel(k={self.k}, d={self.d})"
@@ -187,11 +198,31 @@ class Assignment:
         self.n = lab.size
 
 
+def group_rows(points: np.ndarray, labels: np.ndarray, counts: np.ndarray):
+    """Points reordered by label, the offsets delimiting each component, and
+    the order itself.
+
+    Component k's points are grouped[offsets[k]:offsets[k+1]], in their
+    original order: the same values in the same order as
+    points[labels == k], so per-component statistics match a masked gather
+    bit for bit.  One stable sort replaces K boolean-mask passes;
+    out[order] = grouped puts grouped rows back in place.
+    """
+    small = labels.astype(np.min_scalar_type(len(counts) - 1))
+    order = np.argsort(small, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return np.take(points, order, axis=0), offsets, order
+
+
 def component_log_joint(model: MixtureModel, data: DataSet) -> np.ndarray:
-    """N x K matrix of ln w_k + ln N(x_n | mu_k, Sigma_k)."""
+    """N x K matrix of ln w_k + ln N(x_n | mu_k, Sigma_k).
+
+    Stored component-major: the result is the transposed view of a
+    contiguous K x N buffer, so each component's column is contiguous.
+    """
     if model.d != data.d:
         raise DataError(f"model dimension {model.d} != data dimension {data.d}")
-    out = np.empty((data.n, model.k))
+    out = np.empty((model.k, data.n))
     log_w = np.log(model.weights)
     x = data.points
     for k in range(model.k):
@@ -199,19 +230,49 @@ def component_log_joint(model: MixtureModel, data: DataSet) -> np.ndarray:
         # component instead of a subtraction plus triangular solve
         y = x @ model.prec_chol[k]
         y -= model.means[k] @ model.prec_chol[k]
-        maha = np.einsum("nd,nd->n", y, y)
+        maha = np.einsum("nd,nd->n", y, y, out=out[k])
         maha *= -0.5
         maha += log_w[k] - 0.5 * (data.d * LOG_2PI + model.log_det[k])
-        out[:, k] = maha
-    return out
+    return out.T
+
+
+def normalized_joint(
+    model: MixtureModel, data: DataSet
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The shared E-step kernel: the K x N matrix q = exp(lj - m), its
+    column sums s and the total log-likelihood, where lj is the component
+    log-joint and m_n the maximum of its column n.
+
+    Every column's largest entry is exactly 1, so no point's column
+    underflows to all zeros; q[:, n] / s[n] is point n's posterior.  All
+    reductions run over K contiguous rows of length N.  The log-likelihood
+    sum_n (m_n + ln s_n) is also recorded on the model for this data set,
+    where log_likelihood finds it without another E-step.
+    """
+    lj = component_log_joint(model, data).T
+    m = lj.max(axis=0)
+    if not np.isfinite(m).all():
+        row = int(np.argmin(np.isfinite(m)))
+        raise DataError(
+            f"row {row}: point is infinitely unlikely under every component"
+        )
+    lj -= m
+    q = np.exp(lj, out=lj)
+    s = q.sum(axis=0)
+    loglik = float((m + np.log(s)).sum())
+    model._loglik = (weakref.ref(data), loglik)
+    return q, s, loglik
 
 
 def log_likelihood(model: MixtureModel, data: DataSet) -> float:
     """Total log-likelihood sum_n ln sum_k w_k N(x_n | mu_k, Sigma_k).
 
-    Combined in log-space with a per-row max shift so intermediate densities
-    never underflow to zero for any representable log-likelihood.
+    Combined in log-space with a per-point max shift so intermediate
+    densities never underflow to zero for any representable log-likelihood.
+    An E-step that already ran on (model, data) supplies the value; it is
+    the same computation, so the result is identical either way.
     """
-    lj = component_log_joint(model, data)
-    m = lj.max(axis=1)
-    return float((m + np.log(np.exp(lj - m[:, None]).sum(axis=1))).sum())
+    memo = model._loglik
+    if memo is not None and memo[0]() is data:
+        return memo[1]
+    return normalized_joint(model, data)[2]

@@ -13,6 +13,7 @@ from .model import (
     DataSet,
     DegeneracyError,
     MixtureModel,
+    group_rows,
 )
 from .rng import substream
 
@@ -81,20 +82,6 @@ def factorizable(cov: np.ndarray) -> bool:
         return False
 
 
-def group_rows(points: np.ndarray, labels: np.ndarray, counts: np.ndarray):
-    """Points reordered by label, plus offsets delimiting each component.
-
-    Component k's points are grouped[offsets[k]:offsets[k+1]], in their
-    original order: the same values in the same order as
-    points[labels == k], so per-component statistics match a masked gather
-    bit for bit.  One stable sort replaces K boolean-mask passes.
-    """
-    small = labels.astype(np.min_scalar_type(len(counts) - 1))
-    order = np.argsort(small, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return np.take(points, order, axis=0), offsets
-
-
 def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
     """Draw one component per row with probability proportional to its entry.
 
@@ -102,14 +89,19 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
     rows with positive sums, such as estep.posterior_weights: no row needs to
     be normalized.  Inverse CDF per row: the label is the first k whose
     running sum exceeds u * rowsum.  A draw that rounding sends to the row
-    total falls on the row's last positive entry.
+    total falls on the row's last positive entry.  The running sums are
+    accumulated component by component over contiguous rows of the K x N
+    transpose (the E-step's own layout), adding in the same order as a
+    row-wise cumulative sum.
     """
     q = weights.probs if isinstance(weights, ResponsibilityMatrix) else weights
     n, k = q.shape
-    cum = np.cumsum(q, axis=1)
+    cum = np.array(q.T, order="C")
+    for j in range(1, k):
+        cum[j] += cum[j - 1]
     u = rng.random(n)
-    u *= cum[:, -1]
-    labels = np.count_nonzero(cum <= u[:, None], axis=1)
+    u *= cum[-1]
+    labels = np.count_nonzero(cum <= u, axis=0)
     past = np.flatnonzero(labels == k)
     if past.size:
         labels[past] = k - 1 - np.argmax(q[past, ::-1] > 0, axis=1)
@@ -205,7 +197,7 @@ def hard_params(assign: Assignment, data: DataSet) -> PartialParams:
     k_total, d = assign.k, data.d
     means = np.full((k_total, d), np.nan)
     covs = np.full((k_total, d, d), np.nan)
-    grouped, offsets = group_rows(data.points, assign.labels, assign.counts)
+    grouped, offsets, _ = group_rows(data.points, assign.labels, assign.counts)
     for k in np.flatnonzero(assign.counts):
         means[k], covs[k] = component_mle(grouped[offsets[k]:offsets[k + 1]])
     return PartialParams(means, covs, assign.counts.astype(np.float64))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataError, DataSet, MixtureModel
+from .model import DataError, DataSet, MixtureModel, group_rows
 
 
 class GenerationError(RuntimeError):
@@ -110,16 +110,27 @@ def sample_dataset(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    cum = np.cumsum(model.weights)
+    # clipped at 1.0 so the running sums stay sorted for searchsorted, which
+    # counts the entries <= u; no u < 1 reaches an entry at 1.0
+    cum = np.minimum(np.cumsum(model.weights), 1.0)
     cum[-1] = 1.0
-    labels = (cum <= rng.random(n)[:, None]).sum(axis=1)
+    labels = np.searchsorted(cum, rng.random(n), side="right")
     g = rng.standard_normal((n, model.d))
-    # x = mu_k + L_k g with the cached triangular factor
-    points = np.empty((n, model.d))
+    # x = mu_k + L_k g with the cached triangular factor, one GEMM per
+    # component over its grouped rows
+    grouped, offsets, order = group_rows(g, labels, np.bincount(labels, minlength=model.k))
     for k in range(model.k):
-        mask = labels == k
-        points[mask] = model.means[k] + g[mask] @ model.chol[k].T
+        block = grouped[offsets[k]:offsets[k + 1]]
+        block[...] = model.means[k] + block @ model.chol[k].T
+    points = np.empty_like(grouped)
+    points[order] = grouped
     return DataSet(points), labels
+
+
+def check_k(k: int) -> None:
+    """Reject a component count below 1."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
 
 def initialize(data: DataSet, k: int, rng: np.random.Generator) -> MixtureModel:
@@ -131,6 +142,7 @@ def initialize(data: DataSet, k: int, rng: np.random.Generator) -> MixtureModel:
     minimum over an empty set is replaced by the mean squared distance of the
     data to the chosen mean, preserving scale.
     """
+    check_k(k)
     if data.n < k:
         raise DataError(f"need at least K={k} points, got {data.n}")
     d = data.d

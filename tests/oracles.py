@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
 
 def scalar_em_update(points, probs):
@@ -134,3 +135,46 @@ def chunked_rho(probs, points, means, covs, chunk=8192):
             acc += (q[start:stop, k, None, None] * dev * dev).sum(axis=0)
         out[k] = np.sqrt(acc)
     return out
+
+
+def logsumexp_posterior(weights, means, chols, points):
+    """N x K posteriors and the total log-likelihood from the row-wise
+    log-joint ln w_k + ln N(x | mu_k, Sigma_k), normalized with scipy's
+    logsumexp and summed with math.fsum."""
+    lj = np.column_stack([
+        math.log(w) + gaussian_log_density(mu, chol, points)
+        for w, mu, chol in zip(weights, means, chols)
+    ])
+    lse = logsumexp(lj, axis=1)
+    return np.exp(lj - lse[:, None]), math.fsum(lse)
+
+
+def row_cdf_labels(weights, rng):
+    """Inverse-CDF draw per row of an N x K array of non-negative rows, from
+    the row-wise cumulative sum: the first k whose running sum exceeds
+    u * rowsum, or the row's last positive entry when rounding sends the
+    draw to the row total."""
+    q = np.asarray(weights, dtype=np.float64)
+    n, k = q.shape
+    cum = np.cumsum(q, axis=1)
+    u = rng.random(n) * cum[:, -1]
+    labels = np.count_nonzero(cum <= u[:, None], axis=1)
+    past = np.flatnonzero(labels == k)
+    if past.size:
+        labels[past] = k - 1 - np.argmax(q[past, ::-1] > 0, axis=1)
+    return labels
+
+
+def masked_sample(weights, means, chols, n, rng):
+    """Ancestral draw with one boolean-mask gather and scatter per
+    component: labels by comparing uniforms against the weights' running
+    sums, then x = mu_k + L_k g."""
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    labels = (cum <= rng.random(n)[:, None]).sum(axis=1)
+    g = rng.standard_normal((n, len(means[0])))
+    points = np.empty(g.shape)
+    for k in range(len(weights)):
+        mask = labels == k
+        points[mask] = means[k] + g[mask] @ chols[k].T
+    return points, labels

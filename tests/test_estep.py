@@ -3,12 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from semgmm import DataError, DataSet, MixtureModel, ResponsibilityMatrix, responsibilities
+import semgmm.estep
+import semgmm.model
+from semgmm import (
+    DataError,
+    DataSet,
+    MixtureModel,
+    ResponsibilityMatrix,
+    log_likelihood,
+    responsibilities,
+)
 from semgmm.estep import from_probs, posterior_weights
+from semgmm.model import component_log_joint, normalized_joint
 from semgmm.rng import substream
 
 from conftest import make_instance
-from oracles import naive_responsibilities
+from oracles import logsumexp_posterior, naive_responsibilities
 
 
 class TestResponsibilities:
@@ -112,3 +122,112 @@ class TestResponsibilityMatrix:
     def test_check_detects_bad_column_sums(self):
         resp = ResponsibilityMatrix(np.array([[0.5, 0.5]]), np.array([9.0, 9.0]))
         assert resp.check() is not None
+
+
+def random_model(rng, k, d, offset, scale):
+    """K-component model around `offset` with spreads of order `scale`."""
+    w = rng.random(k) + 0.2
+    a = rng.normal(size=(k, d, d))
+    covs = (a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d)) * scale**2
+    means = offset + scale * 2.0 * rng.normal(size=(k, d))
+    return MixtureModel(w / w.sum(), means, covs)
+
+
+SHIFTS = pytest.mark.parametrize(
+    "offset, scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6)],
+    ids=["plain", "offset-1e6", "scale-1e-6"],
+)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+@SHIFTS
+class TestNormalizedJoint:
+    def test_matches_naive_oracle_1d(self, k, offset, scale):
+        rng = substream(71, k)
+        model = random_model(rng, k, 1, offset, scale)
+        pts = offset + scale * 3.0 * rng.normal(size=200)
+        q, s, _ = normalized_joint(model, DataSet(pts[:, None]))
+        oracle = naive_responsibilities(
+            pts.tolist(), model.weights, model.means[:, 0], model.covariances[:, 0, 0]
+        )
+        np.testing.assert_allclose((q / s).T, oracle, rtol=1e-7, atol=1e-12)
+
+    def test_matches_logsumexp_oracle(self, k, offset, scale):
+        rng = substream(72, k)
+        model = random_model(rng, k, 3, offset, scale)
+        data = DataSet(offset + scale * 3.0 * rng.normal(size=(300, 3)))
+        q, s, loglik = normalized_joint(model, data)
+        post, total = logsumexp_posterior(model.weights, model.means, model.chol, data.points)
+        np.testing.assert_allclose((q / s).T, post, rtol=1e-7, atol=1e-12)
+        np.testing.assert_array_equal(q.max(axis=0), 1.0)
+        assert loglik == pytest.approx(total, rel=1e-9)
+        resp = responsibilities(model, data)
+        np.testing.assert_allclose(resp.probs, post, rtol=1e-7, atol=1e-12)
+
+
+class TestComponentMajor:
+    def test_storage_and_shapes(self):
+        _, data, _, model0 = make_instance(73, d=3, k=4, n=500)
+        lj = component_log_joint(model0, data)
+        resp = responsibilities(model0, data)
+        q = posterior_weights(model0, data)
+        for a in (lj, resp.probs, q):
+            assert a.shape == (500, 4)
+            assert a.T.flags.c_contiguous
+            assert a[:, 2].flags.c_contiguous
+
+    def test_column_sums_are_pairwise(self):
+        # a row-by-row sum of the C-order N x K matrix drifts by O(N eps);
+        # the contiguous pairwise sum stays near math.fsum
+        _, data, _, model0 = make_instance(74, d=2, k=3, n=100_000)
+        resp = responsibilities(model0, data)
+        exact = np.array([math.fsum(resp.probs[:, k]) for k in range(3)])
+        pairwise_err = np.abs(resp.column_sums - exact).max()
+        row_by_row_err = np.abs(np.ascontiguousarray(resp.probs).sum(axis=0) - exact).max()
+        assert pairwise_err <= 1e-15 * data.n
+        assert 10.0 * pairwise_err < row_by_row_err
+
+
+@pytest.fixture
+def log_joint_calls(monkeypatch):
+    """Counts component_log_joint calls made through model and estep."""
+    calls = []
+    real = semgmm.model.component_log_joint
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (semgmm.model, semgmm.estep):
+        monkeypatch.setattr(module, "component_log_joint", counted)
+    return calls
+
+
+class TestLogLikelihoodFromEStep:
+    @pytest.mark.parametrize("estep", [responsibilities, posterior_weights])
+    def test_reuses_the_estep_bit_for_bit(self, log_joint_calls, estep):
+        _, data, _, model0 = make_instance(75, d=3, k=4, n=2000)
+        estep(model0, data)
+        assert len(log_joint_calls) == 1
+        reused = log_likelihood(model0, data)
+        assert len(log_joint_calls) == 1
+        fresh = MixtureModel(model0.weights, model0.means, model0.covariances)
+        assert log_likelihood(fresh, data) == reused
+        assert len(log_joint_calls) == 2
+
+    def test_other_data_set_recomputes(self, log_joint_calls):
+        _, data, _, model0 = make_instance(76, d=2, k=3, n=500)
+        first = log_likelihood(model0, data)
+        copy = DataSet(data.points)
+        assert log_likelihood(model0, copy) == first
+        assert log_likelihood(model0, copy) == first
+        assert len(log_joint_calls) == 2
+
+    def test_model_pickles_without_the_memo(self):
+        import pickle
+
+        _, data, _, model0 = make_instance(77, d=2, k=3, n=200)
+        value = log_likelihood(model0, data)
+        clone = pickle.loads(pickle.dumps(model0))
+        np.testing.assert_array_equal(clone.means, model0.means)
+        assert log_likelihood(clone, data) == value

@@ -7,7 +7,9 @@ import pytest
 
 import semgmm.bounds
 import semgmm.em
+import semgmm.estep
 import semgmm.harness
+import semgmm.model
 import semgmm.sem
 from semgmm import (
     DegeneracyError,
@@ -333,6 +335,25 @@ class TestSweep:
         assert calls.count("em_round") == plan.n_inits * plan.rounds
         assert calls.count("sem_round") == plan.n_inits * plan.runs_per_init * plan.rounds
 
+    @pytest.mark.parametrize("experiment", [run_likelihood_experiment, run_compare_experiment])
+    def test_likelihood_from_the_next_estep(self, tmp_path, monkeypatch, experiment):
+        # each trajectory of R rounds runs R E-steps, and each model's
+        # negative log-likelihood comes from the E-step that ran on it, so
+        # only the last model of a trajectory needs one more
+        plan = tiny_plan(tmp_path, n_jobs=2)
+        calls = []
+        real = semgmm.model.component_log_joint
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        for module in (semgmm.model, semgmm.estep):
+            monkeypatch.setattr(module, "component_log_joint", counted)
+        experiment(plan)
+        trajectories = plan.n_inits + plan.n_inits * plan.runs_per_init
+        assert len(calls) == trajectories * (plan.rounds + 1)
+
 
 # ---------------------------------------------------------------------------
 # command-line interface
@@ -429,8 +450,10 @@ class TestCli:
         ("speed", "--gen", "2,2"),
         ("gen", "--d", 2, "--n", 0),
         ("fit-em", "--data", "absent.csv", "--model", "absent.txt", "--rounds", -1),
+        ("compare", "--data", "absent.csv", "--k", 0),
+        ("init", "--data", "absent.csv", "--k", 0),
     ], ids=["rounds-0", "inits-0", "gen-k-0", "delta-2", "jobs-0", "gen-two-fields",
-            "gen-n-0", "fit-rounds-negative"])
+            "gen-n-0", "fit-rounds-negative", "compare-k-0", "init-k-0"])
     def test_rejected_flag_value(self, tmp_path, argv):
         res = run_cli(*argv, "--out", tmp_path)
         assert res.returncode == 1

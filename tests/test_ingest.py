@@ -11,6 +11,8 @@ from semgmm import (
     save_csv,
     save_model,
 )
+import semgmm.ingest
+from semgmm.ingest import _parse_rows
 from semgmm.rng import substream
 
 from conftest import make_instance
@@ -59,6 +61,65 @@ class TestCsvRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")
+
+
+# files that numpy's loadtxt would read differently from the row parser, or
+# not at all; load_csv must give the row parser's value or message
+CSV_EDGES = {
+    "nan-token": "1,2\nnan,4\n",
+    "inf-token": "1,2\n3,-inf\n",
+    "overflow-token": "1,1e500\n",
+    "blank-line-inside": "1,2\n\n3,4\n",
+    "blank-lines-trailing": "1,2\n3,4\n\n\n",
+    "blank-line-one-column": "1\n\n2\n",
+    "whitespace-line": "1,2\n \n3,4\n",
+    "ragged": "1,2\n3\n",
+    "ragged-wide": "1,2\n3,4,5\n",
+    "empty-field": "1,,2\n",
+    "trailing-comma": "1,2,\n",
+    "header": "x,y\n1,2\n",
+    "comment": "# note\n1,2\n",
+    "empty": "",
+    "blank-only": "\n\n",
+    "leading-blank-lines": "\n\n1,2\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "no-final-newline": "1,2\n3,4",
+    "spaces": " 1 , 2 \n3,4\n",
+    "underscore-digits": "1_0,2\n",
+    "one-column": "1\n2\n3\n",
+}
+
+
+def _outcome(load, path):
+    try:
+        return "value", load(path).points.tolist()
+    except DataError as exc:
+        return "error", str(exc)
+
+
+class TestCsvFastPath:
+    @pytest.mark.parametrize("text", list(CSV_EDGES.values()), ids=list(CSV_EDGES))
+    def test_same_value_or_message_as_row_parser(self, tmp_path, text):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_csv, path) == _outcome(_parse_rows, path)
+
+    def test_well_formed_file_skips_row_parser(self, tmp_path, monkeypatch):
+        pts = substream(113).normal(size=(200, 4)) * 1e3
+        path = tmp_path / "data.csv"
+        save_csv(DataSet(pts), path)
+
+        def unexpected(path):
+            raise AssertionError("row parser used for a well-formed file")
+
+        monkeypatch.setattr(semgmm.ingest, "_parse_rows", unexpected)
+        np.testing.assert_array_equal(load_csv(path).points, pts)
+
+    def test_rejection_names_row_and_column(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text(CSV_EDGES["nan-token"])
+        with pytest.raises(DataError, match="row 2, column 1: non-finite"):
+            load_csv(path)
 
 
 class TestModelRoundTrip:

@@ -15,11 +15,12 @@ from semgmm import (
     validate,
 )
 from semgmm.em import em_m_step
-from semgmm.estep import from_probs
+from semgmm.estep import from_probs, posterior_weights
 from semgmm.sem import PartialParams, component_mle, hard_params, repair_component
 from semgmm.rng import substream
 
 from conftest import make_instance, separated_instance
+from oracles import row_cdf_labels
 
 
 class TestSemConfig:
@@ -85,6 +86,21 @@ class TestSampleAssignment:
         probs = np.tile([0.5, 0.0, 0.5], (500, 1))
         assign = sample_assignment(from_probs(probs), substream(55))
         assert not (assign.labels == 1).any()
+
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_labels_match_row_cdf_oracle(self, k):
+        _, data, _, model0 = make_instance(56, d=3, k=k, n=3000)
+        rows = posterior_weights(model0, data)
+        resp = responsibilities(model0, data)
+        for weights, probs in ((rows, rows), (resp, resp.probs)):
+            labels = sample_assignment(weights, substream(56, k)).labels
+            np.testing.assert_array_equal(labels, row_cdf_labels(probs, substream(56, k)))
+        plain = np.ascontiguousarray(rows)  # a row-major array is accepted too
+        np.testing.assert_array_equal(
+            sample_assignment(plain, substream(56, k)).labels,
+            row_cdf_labels(plain, substream(56, k)),
+        )
 
 
 class _MaxDraw:

@@ -14,6 +14,8 @@ from semgmm import (
 from semgmm.rng import substream
 from semgmm.synth import _interfusing
 
+from oracles import masked_sample
+
 
 class TestGenSpec:
     def test_defaults(self):
@@ -105,6 +107,16 @@ class TestSampleDataset:
         with pytest.raises(ValueError):
             sample_dataset(truth, 0, substream(100))
 
+    @pytest.mark.parametrize("d, k, n", [(3, 3, 5000), (10, 10, 5000), (2, 4, 400)])
+    def test_matches_masked_oracle_bit_for_bit(self, d, k, n):
+        truth = generate_mixture(GenSpec(d=d, k=k, n=n, weight_mode="unbalanced"), substream(107))
+        data, labels = sample_dataset(truth, n, substream(107, 1))
+        points, oracle_labels = masked_sample(
+            truth.weights, truth.means, truth.chol, n, substream(107, 1)
+        )
+        np.testing.assert_array_equal(labels, oracle_labels)
+        np.testing.assert_array_equal(data.points, points)
+
 
 class TestInitialize:
     def test_means_are_data_points(self, small_instance):
@@ -140,3 +152,8 @@ class TestInitialize:
         data = DataSet([[0.0], [1.0]])
         with pytest.raises(DataError):
             initialize(data, 3, substream(106))
+
+    def test_k_zero_rejected(self):
+        data = DataSet([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            initialize(data, 0, substream(108))
