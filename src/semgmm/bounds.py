@@ -84,17 +84,19 @@ def compute_tau(
 ) -> np.ndarray:
     """K x D matrix tau[k, d] = sqrt(sum_n p_nk (1-p_nk) (x_n - mu_k)_d^2).
 
-    One N x D temporary per component: the centered points are squared in
-    place and reduced with a single matrix-vector product.
+    One D x N temporary: each component's centered coordinate rows are
+    squared in place and reduced with a single matrix-vector product.
     """
     p = resp.probs
     q = p * (1.0 - p)
     k_total = p.shape[1]
+    xt = data.points.T
+    xc2 = np.empty_like(xt)
     out = np.empty((k_total, data.d))
     for k in range(k_total):
-        xc2 = data.points - em_means[k]
+        np.subtract(xt, em_means[k][:, None], out=xc2)
         xc2 *= xc2
-        out[k] = np.sqrt(q[:, k] @ xc2)
+        out[k] = np.sqrt(xc2 @ q[:, k])
     return out
 
 
@@ -110,27 +112,28 @@ def compute_rho(
 
     With xc = x - mu_k and q = p (1-p), the sum expands to
     (xc^2)^T (q xc^2) - 2 Sigma_k o xc^T (q xc) + Sigma_k^2 sum q, two
-    D x D matrix products accumulated over blocks of `chunk` rows, so the
-    N outer products are never formed and the temporaries stay at a few
-    chunk x D arrays.  The expansion subtracts; rounding below zero is
-    clamped to 0.
+    D x D matrix products accumulated over blocks of `chunk` points (column
+    blocks of the D x N coordinate rows), so the N outer products are never
+    formed and the temporaries stay at a few D x chunk arrays.  The
+    expansion subtracts; rounding below zero is clamped to 0.
     """
     p = resp.probs
     q = p * (1.0 - p)
     n, k_total = p.shape
     d = data.d
+    xt = data.points.T
     out = np.empty((k_total, d, d))
     for k in range(k_total):
         fourth = np.zeros((d, d))
         second = np.zeros((d, d))
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            xc = data.points[start:stop] - em_means[k]
-            qxc = q[start:stop, k, None] * xc
-            second += xc.T @ qxc
+            xc = xt[:, start:stop] - em_means[k][:, None]
+            qxc = xc * q[start:stop, k]
+            second += xc @ qxc.T
             qxc *= xc
             xc *= xc
-            fourth += xc.T @ qxc
+            fourth += xc @ qxc.T
         cov = em_covs[k]
         acc = fourth - 2.0 * cov * second + cov * cov * q[:, k].sum()
         out[k] = np.sqrt(np.maximum(acc, 0.0))

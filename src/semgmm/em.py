@@ -63,14 +63,19 @@ def _em_params(
         hard = hard_params(Assignment(p.argmax(axis=1), k_total), data)
         means, covs = hard.means, hard.covariances
     else:
-        x = data.points
+        # contiguous coordinate rows of length N against contiguous
+        # responsibility columns
+        xt = data.points.T
         means = np.full((k_total, data.d), np.nan)
         covs = np.full((k_total, data.d, data.d), np.nan)
+        xc = np.empty_like(xt)
+        wxc = np.empty_like(xt)
         for k in np.flatnonzero(live):
             pk = p[:, k]
-            means[k] = pk @ x / r[k]
-            xc = x - means[k]
-            cov = (pk[:, None] * xc).T @ xc / r[k]
+            means[k] = xt @ pk / r[k]
+            np.subtract(xt, means[k][:, None], out=xc)
+            np.multiply(xc, pk, out=wxc)
+            cov = wxc @ xc.T / r[k]
             covs[k] = 0.5 * (cov + cov.T)
     degenerate: list[int] = []
     for k in range(k_total):

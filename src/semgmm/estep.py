@@ -33,6 +33,8 @@ class ResponsibilityMatrix:
         if p.ndim != 2:
             raise DataError("responsibilities must be an N x K matrix")
         r = np.asarray(self.column_sums, dtype=np.float64)
+        # freeze a view, so the caller's own array stays writeable
+        p = p.view()
         p.setflags(write=False)
         r = r.copy()
         r.setflags(write=False)

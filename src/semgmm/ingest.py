@@ -21,6 +21,16 @@ def _fmt(v: float) -> str:
     return FMT % v
 
 
+def _read_text(path: Path) -> str:
+    """The file's text, decoded as UTF-8; undecodable bytes are a DataError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def load_csv(path) -> DataSet:
     """Load a headerless numeric CSV (one point per row, '.' decimals).
 
@@ -31,7 +41,7 @@ def load_csv(path) -> DataSet:
     that it fails on, goes to the row parser, which names the fault.
     """
     path = Path(path)
-    body = path.read_text(encoding="utf-8").lstrip("\n")
+    body = _read_text(path).lstrip("\n")
     if body and "\n\n" not in body:
         try:
             points = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
@@ -94,7 +104,7 @@ def save_model(model: MixtureModel, path) -> None:
 
 def load_model(path) -> MixtureModel:
     path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty model file")
     head = lines[0].split()

@@ -39,12 +39,18 @@ class DegeneracyError(RuntimeError):
 class DataSet:
     """An N x D observation matrix with cached per-coordinate spreads.
 
+    Stored coordinate-major: `points` is the N x D transposed view of one
+    contiguous, read-only D x N buffer, so each coordinate's row
+    points.T[d] is contiguous and every kernel runs over rows of length N.
+    A float64 input that is already F-contiguous is adopted without a copy;
+    the caller's own array stays writeable.
+
     The spread of coordinate d is max_n (x_n)_d - min_n (x_n)_d; it is the
     scale unit for all proximity bounds and is computed lazily and cached.
     """
 
     def __init__(self, points):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
+        pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
@@ -52,11 +58,12 @@ class DataSet:
         n, d = pts.shape
         if n < 1 or d < 1:
             raise DataError(f"need N >= 1 and D >= 1, got N={n}, D={d}")
-        if not np.isfinite(pts).all():
+        coords = np.ascontiguousarray(pts.T).view()
+        if not np.isfinite(coords).all():
             bad = np.argwhere(~np.isfinite(pts))[0]
             raise DataError(f"non-finite coordinate at row {bad[0]}, column {bad[1]}")
-        pts.setflags(write=False)
-        self.points = pts
+        coords.setflags(write=False)
+        self.points = coords.T
         self.n = n
         self.d = d
         self._spread: np.ndarray | None = None
@@ -64,7 +71,8 @@ class DataSet:
     @property
     def spread(self) -> np.ndarray:
         if self._spread is None:
-            s = self.points.max(axis=0) - self.points.min(axis=0)
+            xt = self.points.T
+            s = xt.max(axis=1) - xt.min(axis=1)
             s.setflags(write=False)
             self._spread = s
         return self._spread
@@ -198,20 +206,20 @@ class Assignment:
         self.n = lab.size
 
 
-def group_rows(points: np.ndarray, labels: np.ndarray, counts: np.ndarray):
-    """Points reordered by label, the offsets delimiting each component, and
-    the order itself.
+def group_order(labels: np.ndarray, counts: np.ndarray):
+    """The stable order that groups points by label, and the offsets
+    delimiting each component in it.
 
-    Component k's points are grouped[offsets[k]:offsets[k+1]], in their
-    original order: the same values in the same order as
-    points[labels == k], so per-component statistics match a masked gather
-    bit for bit.  One stable sort replaces K boolean-mask passes;
-    out[order] = grouped puts grouped rows back in place.
+    Component k's points are order[offsets[k]:offsets[k+1]], in their
+    original order: gathered with np.take they give the same values in the
+    same order as a boolean mask labels == k, so per-component statistics
+    match a masked gather bit for bit.  One stable sort replaces K
+    boolean-mask passes.
     """
     small = labels.astype(np.min_scalar_type(len(counts) - 1))
     order = np.argsort(small, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    return np.take(points, order, axis=0), offsets, order
+    return order, offsets
 
 
 def component_log_joint(model: MixtureModel, data: DataSet) -> np.ndarray:
@@ -224,13 +232,17 @@ def component_log_joint(model: MixtureModel, data: DataSet) -> np.ndarray:
         raise DataError(f"model dimension {model.d} != data dimension {data.d}")
     out = np.empty((model.k, data.n))
     log_w = np.log(model.weights)
-    x = data.points
+    xt = data.points.T
+    y = np.empty((data.d, data.n))
     for k in range(model.k):
-        # ||(x - mu) L^-T||^2 via the cached inverse factor: one GEMM per
-        # component instead of a subtraction plus triangular solve
-        y = x @ model.prec_chol[k]
-        y -= model.means[k] @ model.prec_chol[k]
-        maha = np.einsum("nd,nd->n", y, y, out=out[k])
+        # ||L^-1 (x - mu)||^2 via the cached inverse factor: one GEMM over
+        # the D coordinate rows instead of a subtraction plus triangular
+        # solve, then D squared rows summed into the component's row
+        p = model.prec_chol[k]
+        np.matmul(p.T, xt, out=y)
+        y -= (model.means[k] @ p)[:, None]
+        y *= y
+        maha = np.sum(y, axis=0, out=out[k])
         maha *= -0.5
         maha += log_w[k] - 0.5 * (data.d * LOG_2PI + model.log_det[k])
     return out.T

@@ -13,7 +13,7 @@ from .model import (
     DataSet,
     DegeneracyError,
     MixtureModel,
-    group_rows,
+    group_order,
 )
 from .rng import substream
 
@@ -66,10 +66,18 @@ def component_mle(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Two-pass: center on the freshly computed mean, then accumulate outer
     products, avoiding the catastrophic cancellation of E[xx^T] - mu mu^T.
+    Both passes run over a contiguous copy of the D coordinate rows,
+    whatever the layout of `points`, so the result depends only on its
+    values.
     """
-    mu = points.mean(axis=0)
-    xc = points - mu
-    cov = xc.T @ xc / points.shape[0]
+    return _rows_mle(np.array(points.T, order="C"))
+
+
+def _rows_mle(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """component_mle of D coordinate rows, each contiguous, centred in place."""
+    mu = xc.mean(axis=1)
+    xc -= mu[:, None]
+    cov = xc @ xc.T / xc.shape[1]
     return mu, 0.5 * (cov + cov.T)
 
 
@@ -197,9 +205,10 @@ def hard_params(assign: Assignment, data: DataSet) -> PartialParams:
     k_total, d = assign.k, data.d
     means = np.full((k_total, d), np.nan)
     covs = np.full((k_total, d, d), np.nan)
-    grouped, offsets, _ = group_rows(data.points, assign.labels, assign.counts)
+    order, offsets = group_order(assign.labels, assign.counts)
+    grouped = np.take(data.points.T, order, axis=1)
     for k in np.flatnonzero(assign.counts):
-        means[k], covs[k] = component_mle(grouped[offsets[k]:offsets[k + 1]])
+        means[k], covs[k] = _rows_mle(grouped[:, offsets[k]:offsets[k + 1]])
     return PartialParams(means, covs, assign.counts.astype(np.float64))
 
 

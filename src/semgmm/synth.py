@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataError, DataSet, MixtureModel, group_rows
+from .model import DataError, DataSet, MixtureModel, group_order
 
 
 class GenerationError(RuntimeError):
@@ -116,15 +116,22 @@ def sample_dataset(
     cum[-1] = 1.0
     labels = np.searchsorted(cum, rng.random(n), side="right")
     g = rng.standard_normal((n, model.d))
-    # x = mu_k + L_k g with the cached triangular factor, one GEMM per
-    # component over its grouped rows
-    grouped, offsets, order = group_rows(g, labels, np.bincount(labels, minlength=model.k))
+    # x = mu_k + L_k g with the cached triangular factor: one GEMM per
+    # component over its grouped draws (contiguous rows of g), written as
+    # coordinate rows; one gather by the inverse order then puts every
+    # point back in place in the D x N buffer the data set adopts
+    order, offsets = group_order(labels, np.bincount(labels, minlength=model.k))
+    grouped = np.take(g, order, axis=0)
+    del g
+    y = np.empty((model.d, n))
     for k in range(model.k):
-        block = grouped[offsets[k]:offsets[k + 1]]
-        block[...] = model.means[k] + block @ model.chol[k].T
-    points = np.empty_like(grouped)
-    points[order] = grouped
-    return DataSet(points), labels
+        lo, hi = offsets[k], offsets[k + 1]
+        np.matmul(model.chol[k], grouped[lo:hi].T, out=y[:, lo:hi])
+        y[:, lo:hi] += model.means[k][:, None]
+    del grouped
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(n)
+    return DataSet(np.take(y, inverse, axis=1).T), labels
 
 
 def check_k(k: int) -> None:

@@ -178,3 +178,35 @@ def masked_sample(weights, means, chols, n, rng):
         mask = labels == k
         points[mask] = means[k] + g[mask] @ chols[k].T
     return points, labels
+
+
+def weighted_mle(probs, points):
+    """K x D means and K x D x D covariances of the responsibility-weighted
+    M-step from the direct sums, mu_k = sum_n p_nk x_n / r_k and
+    Sigma_k = sum_n p_nk (x_n - mu_k)(x_n - mu_k)^T / r_k, with einsum loops
+    over the N x D points."""
+    probs = np.asarray(probs, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    r = probs.sum(axis=0)
+    means = np.einsum("nk,nd->kd", probs, points) / r[:, None]
+    covs = np.stack([
+        np.einsum("n,ni,nj->ij", probs[:, k], points - means[k], points - means[k]) / r[k]
+        for k in range(probs.shape[1])
+    ])
+    return means, covs
+
+
+def masked_mle(points, labels, k_total):
+    """K x D means and K x D x D biased covariances of each label's points,
+    gathered with a boolean mask and reduced by numpy's mean and cov; NaN
+    for labels with no points."""
+    points = np.asarray(points, dtype=np.float64)
+    d = points.shape[1]
+    means = np.full((k_total, d), np.nan)
+    covs = np.full((k_total, d, d), np.nan)
+    for k in range(k_total):
+        mine = points[labels == k]
+        if len(mine):
+            means[k] = mine.mean(axis=0)
+            covs[k] = np.cov(mine, rowvar=False, bias=True).reshape(d, d)
+    return means, covs

@@ -119,6 +119,13 @@ class TestResponsibilityMatrix:
         with pytest.raises(ValueError):
             resp.probs[0, 0] = 0.9
 
+    def test_caller_array_stays_writeable(self):
+        p = np.array([[0.5, 0.5]])
+        resp = ResponsibilityMatrix(p, p.sum(0))
+        assert p.flags.writeable
+        assert not resp.probs.flags.writeable
+        p[0, 0] = 0.25
+
     def test_check_detects_bad_column_sums(self):
         resp = ResponsibilityMatrix(np.array([[0.5, 0.5]]), np.array([9.0, 9.0]))
         assert resp.check() is not None

@@ -471,6 +471,13 @@ class TestCli:
         assert res.returncode == 2
         assert "data error" in res.stderr
 
+    def test_undecodable_csv_exit_code(self, tmp_path):
+        (tmp_path / "bad.csv").write_bytes(b"1,2\n3,\xe9\n")
+        res = run_cli("init", "--data", tmp_path / "bad.csv", "--k", 1)
+        assert res.returncode == 2
+        assert "semgmm: data error:" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_missing_file_exit_code(self, tmp_path):
         res = run_cli("init", "--data", tmp_path / "absent.csv", "--k", 1)
         assert res.returncode == 2

@@ -160,6 +160,12 @@ class TestModelRoundTrip:
         with pytest.raises(DataError):
             load_model(path)
 
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"gmm 1 1\nw 1\nmu \xe9\nsigma 1\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_model(path)
+
     def test_invalid_params_rejected(self, tmp_path):
         path = tmp_path / "neg.txt"
         path.write_text("gmm 1 1\nw 1\nmu 0\nsigma -1\n")

@@ -58,6 +58,17 @@ class TestDataSet:
         with pytest.raises(DataError):
             DataSet(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_array_stays_writeable(self, order):
+        x = np.zeros((3, 2), order=order)
+        data = DataSet(x)
+        assert x.flags.writeable
+        assert not data.points.flags.writeable
+        assert not data.points.T.flags.writeable
+        with pytest.raises(ValueError):
+            data.points[0, 0] = 1.0
+        x[0, 0] = 1.0  # the caller's own array is still theirs to write
+
 
 class TestMixtureModel:
     def test_valid_construction(self):
