@@ -17,7 +17,7 @@ import numpy as np
 
 from .em import em_m_step
 from .estep import ResponsibilityMatrix
-from .model import DataSet, MixtureModel
+from .model import DataSet, MixtureModel, block_width, column_blocks
 from .sem import hard_params, sample_assignment
 
 E = math.e
@@ -84,20 +84,33 @@ def compute_tau(
 ) -> np.ndarray:
     """K x D matrix tau[k, d] = sqrt(sum_n p_nk (1-p_nk) (x_n - mu_k)_d^2).
 
-    One D x N temporary: each component's centered coordinate rows are
-    squared in place and reduced with a single matrix-vector product.
+    Summed over column blocks: per block, q = p (1-p) fills one K x B
+    temporary, and each component's centered coordinate rows are squared
+    in place in one D x B temporary and reduced with a matrix-vector
+    product against its row of q.
     """
-    p = resp.probs
-    q = p * (1.0 - p)
-    k_total = p.shape[1]
+    pt = resp.probs.T
+    k_total, n = pt.shape
+    d = data.d
     xt = data.points.T
-    xc2 = np.empty_like(xt)
-    out = np.empty((k_total, data.d))
-    for k in range(k_total):
-        np.subtract(xt, em_means[k][:, None], out=xc2)
-        xc2 *= xc2
-        out[k] = np.sqrt(xc2 @ q[:, k])
-    return out
+    centres = np.asarray(em_means)[:, :, None]
+    acc = np.zeros((k_total, d))
+    blocks = column_blocks(n, max(d, k_total))
+    q_buf = np.empty(k_total * blocks[0].stop)
+    xc2_buf = np.empty(d * blocks[0].stop)
+    for cols in blocks:
+        width = cols.stop - cols.start
+        q = q_buf[: k_total * width].reshape(k_total, width)
+        xc2 = xc2_buf[: d * width].reshape(d, width)
+        p = pt[:, cols]
+        np.subtract(1.0, p, out=q)
+        q *= p
+        x = xt[:, cols]
+        for k in range(k_total):
+            np.subtract(x, centres[k], out=xc2)
+            xc2 *= xc2
+            acc[k] += xc2 @ q[k]
+    return np.sqrt(acc)
 
 
 def compute_rho(
@@ -105,7 +118,7 @@ def compute_rho(
     data: DataSet,
     em_means: np.ndarray,
     em_covs: np.ndarray,
-    chunk: int = 8192,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """K x D x D tensor rho[k, i, j] = sqrt(sum_n p_nk (1-p_nk)
     ((x_n - mu_k)(x_n - mu_k)^T - Sigma_k)_{ij}^2).
@@ -113,29 +126,37 @@ def compute_rho(
     With xc = x - mu_k and q = p (1-p), the sum expands to
     (xc^2)^T (q xc^2) - 2 Sigma_k o xc^T (q xc) + Sigma_k^2 sum q, two
     D x D matrix products accumulated over blocks of `chunk` points (column
-    blocks of the D x N coordinate rows), so the N outer products are never
-    formed and the temporaries stay at a few D x chunk arrays.  The
-    expansion subtracts; rounding below zero is clamped to 0.
+    blocks of the D x N coordinate rows; by default the blocked kernels'
+    width model.block_width(D)), so the N outer products are never formed
+    and the temporaries stay at a few D x chunk arrays.  The expansion
+    subtracts; rounding below zero is clamped to 0.
     """
     p = resp.probs
-    q = p * (1.0 - p)
     n, k_total = p.shape
     d = data.d
+    if chunk is None:
+        chunk = block_width(d)
     xt = data.points.T
+    centres = np.asarray(em_means)[:, :, None]
+    xc_buf = np.empty(d * min(chunk, n))
+    qxc_buf = np.empty_like(xc_buf)
     out = np.empty((k_total, d, d))
     for k in range(k_total):
+        q = p[:, k] * (1.0 - p[:, k])
         fourth = np.zeros((d, d))
         second = np.zeros((d, d))
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            xc = xt[:, start:stop] - em_means[k][:, None]
-            qxc = xc * q[start:stop, k]
+            xc = xc_buf[: d * (stop - start)].reshape(d, -1)
+            qxc = qxc_buf[: xc.size].reshape(xc.shape)
+            np.subtract(xt[:, start:stop], centres[k], out=xc)
+            np.multiply(xc, q[start:stop], out=qxc)
             second += xc @ qxc.T
             qxc *= xc
             xc *= xc
             fourth += xc @ qxc.T
         cov = em_covs[k]
-        acc = fourth - 2.0 * cov * second + cov * cov * q[:, k].sum()
+        acc = fourth - 2.0 * cov * second + cov * cov * q.sum()
         out[k] = np.sqrt(np.maximum(acc, 0.0))
     return out
 

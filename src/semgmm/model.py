@@ -18,6 +18,10 @@ WEIGHT_SUM_TOL = 1e-12
 WEIGHT_DRIFT_TOL = 1e-9
 #: symmetry tolerance for covariance matrices
 SYMMETRY_TOL = 1e-12
+#: bytes of one block of a blocked kernel's widest temporary; a few of them
+#: stay in a core's L2 where full-size N-column temporaries stream through
+#: memory and are page-faulted afresh on most calls
+_BLOCK_BYTES = 512 * 1024
 
 
 class DataError(ValueError):
@@ -189,14 +193,13 @@ class Assignment:
     """
 
     def __init__(self, labels, k: int):
-        lab = np.asarray(labels, dtype=np.int64)
+        lab = np.array(labels, dtype=np.int64)
         if lab.ndim != 1:
             raise DataError("labels must be a 1-d sequence")
         if k < 1:
             raise DataError("need K >= 1")
         if lab.size and (lab.min() < 0 or lab.max() >= k):
             raise DataError(f"labels out of range [0, {k})")
-        lab = lab.copy()
         lab.setflags(write=False)
         self.labels = lab
         self.k = k
@@ -222,29 +225,66 @@ def group_order(labels: np.ndarray, counts: np.ndarray):
     return order, offsets
 
 
+def block_width(rows: int) -> int:
+    """Largest number of columns per block of the blocked kernels, for a
+    kernel whose widest temporary has `rows` float64 rows: a rows x B block
+    takes at most _BLOCK_BYTES, so it stays in L2 across the kernel's passes
+    over it.  At least 4, so every block of column_blocks spans at least 2
+    columns unless N is 1: a one-column block would turn its matrix product
+    into a matrix-vector product, which rounds differently."""
+    return max(4, _BLOCK_BYTES // (8 * rows))
+
+
+def column_blocks(n: int, rows: int) -> list[slice]:
+    """The fewest column slices of at most block_width(rows) that cover
+    range(n), as even as possible and widest first: every block but a
+    single one spans at least half the width, and a flat buffer of
+    rows * blocks[0].stop floats holds any of them."""
+    count = -(-n // block_width(rows))
+    narrow, wide = divmod(n, count)
+    blocks, start = [], 0
+    for i in range(count):
+        stop = start + narrow + (i < wide)
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
+
+
 def component_log_joint(model: MixtureModel, data: DataSet) -> np.ndarray:
     """N x K matrix of ln w_k + ln N(x_n | mu_k, Sigma_k).
 
     Stored component-major: the result is the transposed view of a
     contiguous K x N buffer, so each component's column is contiguous.
+    Computed over column blocks of the D x N points with one reused D x B
+    temporary for all K components; every entry gets the same operations
+    in the same order as an unblocked pass, so the result does not depend
+    on the block width.
     """
     if model.d != data.d:
         raise DataError(f"model dimension {model.d} != data dimension {data.d}")
+    d = data.d
     out = np.empty((model.k, data.n))
-    log_w = np.log(model.weights)
     xt = data.points.T
-    y = np.empty((data.d, data.n))
-    for k in range(model.k):
-        # ||L^-1 (x - mu)||^2 via the cached inverse factor: one GEMM over
-        # the D coordinate rows instead of a subtraction plus triangular
-        # solve, then D squared rows summed into the component's row
-        p = model.prec_chol[k]
-        np.matmul(p.T, xt, out=y)
-        y -= (model.means[k] @ p)[:, None]
-        y *= y
-        maha = np.sum(y, axis=0, out=out[k])
-        maha *= -0.5
-        maha += log_w[k] - 0.5 * (data.d * LOG_2PI + model.log_det[k])
+    # per-component constants, hoisted out of the block loop
+    steps = [(p.T, (mu @ p)[:, None]) for mu, p in zip(model.means, model.prec_chol)]
+    const = (np.log(model.weights) - 0.5 * (d * LOG_2PI + model.log_det))[:, None]
+    blocks = column_blocks(data.n, d)
+    buf = np.empty(d * blocks[0].stop)
+    for cols in blocks:
+        y = buf[: d * (cols.stop - cols.start)].reshape(d, -1)
+        x = xt[:, cols]
+        for k, (factor, shift) in enumerate(steps):
+            # ||L^-1 (x - mu)||^2 via the cached inverse factor: one GEMM
+            # over the D coordinate rows instead of a subtraction plus
+            # triangular solve, then D squared rows summed into the
+            # component's row
+            np.matmul(factor, x, out=y)
+            y -= shift
+            y *= y
+            np.sum(y, axis=0, out=out[k, cols])
+        block = out[:, cols]
+        block *= -0.5
+        block += const
     return out.T
 
 

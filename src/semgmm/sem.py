@@ -13,6 +13,7 @@ from .model import (
     DataSet,
     DegeneracyError,
     MixtureModel,
+    column_blocks,
     group_order,
 )
 from .rng import substream
@@ -97,19 +98,32 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
     rows with positive sums, such as estep.posterior_weights: no row needs to
     be normalized.  Inverse CDF per row: the label is the first k whose
     running sum exceeds u * rowsum.  A draw that rounding sends to the row
-    total falls on the row's last positive entry.  The running sums are
-    accumulated component by component over contiguous rows of the K x N
-    transpose (the E-step's own layout), adding in the same order as a
-    row-wise cumulative sum.
+    total falls on the row's last positive entry.  The N uniforms are drawn
+    in one call; the running sums are then accumulated over column blocks
+    of the K x N transpose (the E-step's own layout), component by
+    component, adding in the same order as a row-wise cumulative sum, and
+    each block's comparisons are counted into small-integer labels.
     """
     q = weights.probs if isinstance(weights, ResponsibilityMatrix) else weights
     n, k = q.shape
-    cum = np.array(q.T, order="C")
-    for j in range(1, k):
-        cum[j] += cum[j - 1]
+    qt = q.T
     u = rng.random(n)
-    u *= cum[-1]
-    labels = np.count_nonzero(cum <= u, axis=0)
+    labels = np.empty(n, dtype=np.min_scalar_type(k))
+    blocks = column_blocks(n, k)
+    cum_buf = np.empty(k * blocks[0].stop)
+    below_buf = np.empty(cum_buf.size, dtype=bool)
+    for cols in blocks:
+        # running sums down the block's K rows, adding as a row-wise
+        # cumulative sum does
+        cum = cum_buf[: k * (cols.stop - cols.start)].reshape(k, -1)
+        cum[0] = qt[0, cols]
+        for j in range(1, k):
+            np.add(cum[j - 1], qt[j, cols], out=cum[j])
+        ub = u[cols]
+        ub *= cum[-1]
+        below = below_buf[: cum.size].reshape(cum.shape)
+        np.less_equal(cum, ub, out=below)
+        np.add.reduce(below.view(np.uint8), axis=0, dtype=labels.dtype, out=labels[cols])
     past = np.flatnonzero(labels == k)
     if past.size:
         labels[past] = k - 1 - np.argmax(q[past, ::-1] > 0, axis=1)

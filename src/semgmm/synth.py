@@ -2,6 +2,7 @@
 initialization scheme used by the experiments."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class GenSpec:
             raise ValueError("need n >= d + 1")
         if self.weight_mode not in ("balanced", "unbalanced"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
-        if self.overlap <= 0:
-            raise ValueError("overlap must be positive")
+        if not 0 < self.overlap < math.inf:
+            raise ValueError("overlap must be positive and finite")
 
 
 def _random_covariance(d: int, rng: np.random.Generator) -> np.ndarray:

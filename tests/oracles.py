@@ -210,3 +210,44 @@ def masked_mle(points, labels, k_total):
             means[k] = mine.mean(axis=0)
             covs[k] = np.cov(mine, rowvar=False, bias=True).reshape(d, d)
     return means, covs
+
+
+def full_log_joint(model, data):
+    """K x N log-joint ln w_k + ln N(x_n | mu_k, Sigma_k) by the unblocked
+    formula: per component, one product of the transposed inverse factor
+    with all N coordinate columns, the mean's image subtracted, squared and
+    summed over the D rows."""
+    xt = np.ascontiguousarray(data.points.T)
+    log_w = np.log(model.weights)
+    out = np.empty((model.k, data.n))
+    for k in range(model.k):
+        p = model.prec_chol[k]
+        y = p.T @ xt
+        y -= (model.means[k] @ p)[:, None]
+        y *= y
+        const = log_w[k] - 0.5 * (data.d * np.log(2.0 * np.pi) + model.log_det[k])
+        out[k] = -0.5 * y.sum(axis=0) + const
+    return out
+
+
+def shifted_exp(log_joint):
+    """(q, s, log-likelihood) of a K x N log-joint by the direct passes:
+    q = exp(lj - m) with m the column maxima, s the column sums of q, and
+    sum_n (m_n + ln s_n)."""
+    m = log_joint.max(axis=0)
+    q = np.exp(log_joint - m)
+    s = q.sum(axis=0)
+    return q, s, float((m + np.log(s)).sum())
+
+
+def full_tau(probs, points, means):
+    """K x D tau by the unblocked formula: the squared centred D x N
+    coordinate rows times each component's column of p(1-p), one
+    matrix-vector product over all N points."""
+    q = probs * (1.0 - probs)
+    xt = np.ascontiguousarray(np.asarray(points).T)
+    out = np.empty((probs.shape[1], xt.shape[0]))
+    for k in range(probs.shape[1]):
+        xc2 = (xt - means[k][:, None]) ** 2
+        out[k] = np.sqrt(xc2 @ q[:, k])
+    return out

@@ -449,11 +449,13 @@ class TestCli:
         ("speed", "--gen", "2,2,300", "--jobs", 0),
         ("speed", "--gen", "2,2"),
         ("gen", "--d", 2, "--n", 0),
+        ("gen", "--d", 2, "--n", 10, "--k", 3, "--overlap", "nan"),
+        ("gen", "--d", 2, "--n", 10, "--k", 3, "--overlap", "inf"),
         ("fit-em", "--data", "absent.csv", "--model", "absent.txt", "--rounds", -1),
         ("compare", "--data", "absent.csv", "--k", 0),
         ("init", "--data", "absent.csv", "--k", 0),
     ], ids=["rounds-0", "inits-0", "gen-k-0", "delta-2", "jobs-0", "gen-two-fields",
-            "gen-n-0", "fit-rounds-negative", "compare-k-0", "init-k-0"])
+            "gen-n-0", "gen-overlap-nan", "gen-overlap-inf", "fit-rounds-negative", "compare-k-0", "init-k-0"])
     def test_rejected_flag_value(self, tmp_path, argv):
         res = run_cli(*argv, "--out", tmp_path)
         assert res.returncode == 1

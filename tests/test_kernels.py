@@ -1,7 +1,8 @@
 """The coordinate-major kernels against the direct formulas of
 tests/oracles.py, on plain data, far from the origin and at tiny scale; the
-storage layout of every way a DataSet is built; and a bound on the memory a
-round and a bound evaluation allocate."""
+column-blocked kernels against their unblocked formulas at and around the
+block boundaries; the storage layout of every way a DataSet is built; and a
+bound on the memory a round and a bound evaluation allocate."""
 import math
 import tracemalloc
 
@@ -10,6 +11,8 @@ import pytest
 
 from semgmm import (
     DataSet,
+    compute_rho,
+    compute_tau,
     GenSpec,
     MixtureModel,
     SemConfig,
@@ -24,12 +27,27 @@ from semgmm import (
     save_csv,
 )
 from semgmm.em import _em_params, em_round
-from semgmm.model import component_log_joint
+from semgmm.estep import posterior_weights
+from semgmm.model import (
+    _BLOCK_BYTES,
+    block_width,
+    column_blocks,
+    component_log_joint,
+    normalized_joint,
+)
 from semgmm.rng import substream
 from semgmm.sem import hard_params, sem_round
 
 from conftest import make_instance
-from oracles import gaussian_log_density, masked_mle, weighted_mle
+from oracles import (
+    full_log_joint,
+    full_tau,
+    gaussian_log_density,
+    masked_mle,
+    row_cdf_labels,
+    shifted_exp,
+    weighted_mle,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -41,9 +59,9 @@ DIMS = pytest.mark.parametrize("d", [3, 10])
 
 
 def shifted_instance(seed, d, offset, scale, n=3000, k=3):
-    """A soft mixture draw and its generating model, moved by `offset` and
-    scaled by `scale` in every coordinate."""
-    truth = generate_mixture(GenSpec(d=d, k=k, n=n, rng_seed=seed), substream(seed, 0))
+    """A soft mixture draw of n points and its generating model, moved by
+    `offset` and scaled by `scale` in every coordinate."""
+    truth = generate_mixture(GenSpec(d=d, k=k, n=d + 1, rng_seed=seed), substream(seed, 0))
     data, labels = sample_dataset(truth, n, substream(seed, 1))
     moved = MixtureModel(
         truth.weights, truth.means * scale + offset, truth.covariances * scale**2
@@ -92,6 +110,79 @@ class TestAgainstOracles:
         )
 
 
+#: point counts at and around the block boundaries, from the block width B
+EDGES = {
+    "1": lambda b: 1,
+    "B-1": lambda b: b - 1,
+    "B": lambda b: b,
+    "B+1": lambda b: b + 1,
+    "3B+7": lambda b: 3 * b + 7,
+}
+
+
+def blocked_instance(seed, d, edge, offset=0.0, scale=1.0):
+    """shifted_instance with K = D components, so the log-joint's and the
+    sampler's blocks have the same width B, and EDGES[edge](B) points."""
+    n = EDGES[edge](block_width(d))
+    data, model, _ = shifted_instance(seed, d, offset, scale, n=n, k=d)
+    return data, model
+
+
+def test_column_blocks_cover_evenly():
+    for rows in (1, 3, 10, 1000, 50_000):
+        b = block_width(rows)
+        assert b == 4 or rows * b * 8 <= _BLOCK_BYTES < rows * (b + 1) * 8
+        for n in (1, b - 1, b, b + 1, 3 * b + 7):
+            blocks = column_blocks(n, rows)
+            widths = [c.stop - c.start for c in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == c.start for a, c in zip(blocks, blocks[1:]))
+            assert len(blocks) == -(-n // b)
+            assert max(widths) == widths[0] <= b
+            assert max(widths) - min(widths) <= 1
+            assert n == 1 or min(widths) >= 2
+
+
+@DIMS
+@pytest.mark.parametrize("edge", EDGES)
+class TestBlockedKernels:
+    def test_log_joint_and_estep_bit_for_bit(self, d, edge):
+        data, model = blocked_instance(96, d, edge)
+        expected = full_log_joint(model, data)
+        assert np.array_equal(component_log_joint(model, data).T, expected)
+        q, s, loglik = normalized_joint(model, data)
+        eq, es, eloglik = shifted_exp(expected)
+        assert np.array_equal(q, eq)
+        assert np.array_equal(s, es)
+        assert loglik == eloglik
+
+    def test_sampled_labels_bit_for_bit(self, d, edge):
+        data, model = blocked_instance(97, d, edge)
+        weights = posterior_weights(model, data)
+        for resp in (weights, responsibilities(model, data)):
+            labels = sample_assignment(resp, substream(97, 3)).labels
+            probs = getattr(resp, "probs", resp)
+            assert np.array_equal(labels, row_cdf_labels(probs, substream(97, 3)))
+
+    @SHIFTS
+    def test_tau(self, d, edge, offset, scale):
+        data, model = blocked_instance(98, d, edge, offset, scale)
+        resp = responsibilities(model, data)
+        np.testing.assert_allclose(
+            compute_tau(resp, data, model.means),
+            full_tau(resp.probs, data.points, model.means),
+            rtol=1e-13, atol=0,
+        )
+
+
+@DIMS
+def test_rho_default_block_is_the_rule(d):
+    data, model = blocked_instance(99, d, "3B+7")
+    resp = responsibilities(model, data)
+    args = (resp, data, model.means, model.covariances)
+    assert np.array_equal(compute_rho(*args), compute_rho(*args, chunk=block_width(d)))
+
+
 def _sampled(tmp_path):
     return sample_dataset(make_instance(94, d=3, k=2, n=50)[0], 400, substream(94, 3))[0]
 
@@ -124,9 +215,9 @@ def test_coordinate_major_single_buffer(tmp_path, build):
 
 #: a round or a bound evaluation may allocate at most this many
 #: N x max(D, K) float64 arrays at once; measured at D10/K10/N1e5: em_round
-#: 3.0, sem_round 2.4, assemble_bounds 2.0 (with rho 2.0), so one more
+#: 3.0, sem_round 1.38, assemble_bounds 0.30 (with rho), so one more
 #: full-size copy in any of them fails
-PEAK_ARRAYS = 3.5
+PEAK_ARRAYS = {"em_round": 3.5, "sem_round": 2.0, "assemble_bounds": 1.0}
 
 
 def test_peak_memory_of_a_round_and_a_bound():
@@ -134,7 +225,7 @@ def test_peak_memory_of_a_round_and_a_bound():
     resp = responsibilities(model0, data)
     em = em_m_step(resp, data)
     cfg = SemConfig(rng_seed=95)
-    limit = PEAK_ARRAYS * data.n * max(data.d, model0.k) * 8
+    unit = data.n * max(data.d, model0.k) * 8
     calls = {
         "em_round": lambda: em_round(model0, data, cfg, 0),
         "sem_round": lambda: sem_round(model0, data, cfg, 0),
@@ -149,4 +240,4 @@ def test_peak_memory_of_a_round_and_a_bound():
             peaks[name] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(peak < limit for peak in peaks.values()), (peaks, limit)
+    assert all(peaks[name] < PEAK_ARRAYS[name] * unit for name in calls), (peaks, unit)

@@ -32,6 +32,9 @@ class TestGenSpec:
             GenSpec(d=2, k=2, n=100, weight_mode="other")
         with pytest.raises(ValueError):
             GenSpec(d=2, k=2, n=100, overlap=0.0)
+        for overlap in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                GenSpec(d=2, k=2, n=100, overlap=overlap)
 
 
 class TestGenerateMixture:
