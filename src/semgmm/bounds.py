@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .em import em_m_step
+from .em import em_m_step, em_means
 from .estep import ResponsibilityMatrix
 from .model import DataSet, MixtureModel, block_width, column_blocks
 from .sem import hard_params, sample_assignment
@@ -170,15 +170,17 @@ class BoundReport:
     that flag per component.  Inapplicability is data, not an error: clamping
     would fabricate guarantees.
 
-    `rho` and `cov_bound` are computed from the report's own inputs on first
-    access and cached, so callers that read only weight and mean bounds never
-    pay for rho.
+    `em_means` are the means of the expectation-weighted update at `resp`.
+    `em_model`, the whole update with its covariances, and from it `rho` and
+    `cov_bound` are computed from the report's own inputs on first access
+    and cached, so callers that read only weight and mean bounds never pay
+    for the EM covariances or rho.
     """
 
     delta: float
     resp: ResponsibilityMatrix = field(repr=False, compare=False)
     data: DataSet = field(repr=False, compare=False)
-    em_model: MixtureModel = field(repr=False, compare=False)
+    em_means: np.ndarray            # (K, D)
     lambda_w: np.ndarray            # (K,)
     weight_applicable: np.ndarray   # (K,) bool, concentration hypothesis
     applicable: np.ndarray          # (K,) bool, usable for mean/cov bounds
@@ -187,6 +189,12 @@ class BoundReport:
     weight_bound: np.ndarray        # (K,)
     mean_bound: np.ndarray          # (K, D)
     mean_bound_euclid: np.ndarray   # (K,)
+
+    @cached_property
+    def em_model(self) -> MixtureModel:
+        """em_m_step(resp, data); raises DegeneracyError where a covariance
+        cannot be repaired."""
+        return em_m_step(self.resp, self.data)
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -202,7 +210,7 @@ class BoundReport:
         r = self.resp.column_sums
         spread = self.data.spread
         tau, lam_mu = self.tau, self.lambda_mu
-        k_total, d = self.em_model.k, self.em_model.d
+        k_total, d = tau.shape
         cov_bound = np.full((k_total, d, d), np.nan)
         for k in np.flatnonzero(self.applicable):
             shrink = 1.0 - self.lambda_w[k]
@@ -220,20 +228,24 @@ class BoundReport:
 def assemble_bounds(
     resp: ResponsibilityMatrix,
     data: DataSet,
-    em_model: MixtureModel,
     delta: float,
 ) -> BoundReport:
     """Assemble per-parameter proximity bounds at per-check budget `delta`.
+
+    The EM reference is the update's means alone (em.em_means), so a
+    component with (near) zero responsibility mass raises DegeneracyError
+    before any bound is formed.
 
     The caller chooses delta; to get a joint guarantee over all K(D+1) weight
     and mean-coordinate checks at level 1/100 via the union bound, pass
     delta = 1/(100 K (D+1)).  Covariance bounds are left to the report's
     first access of `cov_bound`.
     """
+    means = em_means(resp, data)
     r = resp.column_sums
-    k_total, d = em_model.k, em_model.d
+    k_total, d = means.shape
     spread = data.spread
-    tau = compute_tau(resp, data, em_model.means)
+    tau = compute_tau(resp, data, means)
     w_em = r / data.n
 
     lam_w = np.empty(k_total)
@@ -259,7 +271,7 @@ def assemble_bounds(
         delta=delta,
         resp=resp,
         data=data,
-        em_model=em_model,
+        em_means=means,
         lambda_w=lam_w,
         weight_applicable=weight_applicable,
         applicable=applicable,
@@ -312,10 +324,11 @@ def monte_carlo_violation_rate(
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
 
-    em = em_m_step(resp, data)
-    report = assemble_bounds(resp, data, em, delta)
+    report = assemble_bounds(resp, data, delta)
     w_em = resp.column_sums / data.n
-    shape = {"weights": (em.k,), "means": (em.k, em.d), "covariances": (em.k, em.d, em.d)}
+    k_total, d = report.em_means.shape
+    shape = {"weights": (k_total,), "means": (k_total, d), "covariances": (k_total, d, d)}
+    em_covs = report.em_model.covariances if which == "covariances" else None
     viol = np.zeros(shape[which])
     cond = np.zeros(shape[which])
 
@@ -328,14 +341,14 @@ def monte_carlo_violation_rate(
             continue
         valid = w_ok & report.applicable & (assign.counts > 0)
         sem = hard_params(assign, data)
-        mean_ok = np.abs(sem.means - em.means) <= report.mean_bound
+        mean_ok = np.abs(sem.means - report.em_means) <= report.mean_bound
         if which == "means":
             cond += valid[:, None]
             viol += valid[:, None] & ~mean_ok
             continue
         cond_ij = valid[:, None, None] & mean_ok[:, :, None] & mean_ok[:, None, :]
         cond += cond_ij
-        viol += cond_ij & (np.abs(sem.covariances - em.covariances) > report.cov_bound)
+        viol += cond_ij & (np.abs(sem.covariances - em_covs) > report.cov_bound)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         rate = np.where(cond > 0, viol / np.maximum(cond, 1.0), np.nan)

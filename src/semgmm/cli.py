@@ -157,8 +157,9 @@ def _cmd_init(args) -> int:
     _checked(check_k, k=args.k)
     data = load_csv(args.data)
     model = initialize(data, args.k, substream(args.seed, 1, 0))
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, args.out if args.out.suffix else args.out / "init_model.txt")
+    out = args.out if args.out.suffix else args.out / "init_model.txt"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_model(model, out)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import assemble_bounds
-from .em import em_fit, em_m_step, em_round
+from .em import em_fit, em_round
 from .estep import responsibilities
 from .ingest import load_csv
 from .model import DataSet, DegeneracyError, MixtureModel, log_likelihood
@@ -324,7 +324,9 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
     """Third protocol: actual Euclidean mean distance vs the assembled bound.
 
     During each stochastic round, the deterministic mean update is computed
-    from the same current model; the per-component actual distance between
+    from the same current model (its means only: the EM covariances are
+    never formed, and a run is excluded only when a component has no
+    responsibility mass); the per-component actual distance between
     the raw sampled means and the deterministic means is emitted next to the
     union-bound Euclidean mean bound.  Inapplicable components (weight bound
     hypothesis failed, lambda_w >= 1, or an empty sample) are emitted with
@@ -340,15 +342,14 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
         rows = []
         for t in range(plan.rounds):
             resp = responsibilities(model, data)
-            em_ref = em_m_step(resp, data)
-            report = assemble_bounds(resp, data, em_ref, delta)
+            report = assemble_bounds(resp, data, delta)
             assign = sample_assignment(resp, substream(cfg.rng_seed, t, 0))
             # one hard_params serves the row and the update; the rows are
             # read first, because repair writes into `partial`
             partial = hard_params(assign, data)
             for k in range(plan.k):
                 if report.applicable[k] and assign.counts[k] >= 1:
-                    actual = float(np.sqrt(((partial.means[k] - em_ref.means[k]) ** 2).sum()))
+                    actual = float(np.sqrt(((partial.means[k] - report.em_means[k]) ** 2).sum()))
                     bound = float(report.mean_bound_euclid[k])
                     rows.append((i, j, t + 1, k, actual, bound, 1))
                 else:

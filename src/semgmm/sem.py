@@ -62,20 +62,13 @@ class PartialParams:
     repaired: list[int] = field(default_factory=list)
 
 
-def component_mle(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and biased sample covariance of one component's points.
-
-    Two-pass: center on the freshly computed mean, then accumulate outer
-    products, avoiding the catastrophic cancellation of E[xx^T] - mu mu^T.
-    Both passes run over a contiguous copy of the D coordinate rows,
-    whatever the layout of `points`, so the result depends only on its
-    values.
-    """
-    return _rows_mle(np.array(points.T, order="C"))
-
-
 def _rows_mle(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """component_mle of D coordinate rows, each contiguous, centred in place."""
+    """Mean and biased covariance of D coordinate rows, each contiguous.
+
+    Two-pass: centre the rows in place on their freshly computed mean, then
+    take one product, avoiding the catastrophic cancellation of
+    E[xx^T] - mu mu^T.
+    """
     mu = xc.mean(axis=1)
     xc -= mu[:, None]
     cov = xc @ xc.T / xc.shape[1]

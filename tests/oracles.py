@@ -196,6 +196,18 @@ def weighted_mle(probs, points):
     return means, covs
 
 
+def component_mle(points):
+    """Mean and biased sample covariance of one component's points, by the
+    operations of the package's hard-assignment statistics (a contiguous copy
+    of the D coordinate rows, their means, centring in place, one product,
+    symmetrization), so that sem.hard_params must agree with it bit for bit."""
+    xc = np.array(points.T, order="C")
+    mu = xc.mean(axis=1)
+    xc -= mu[:, None]
+    cov = xc @ xc.T / xc.shape[1]
+    return mu, 0.5 * (cov + cov.T)
+
+
 def masked_mle(points, labels, k_total):
     """K x D means and K x D x D biased covariances of each label's points,
     gathered with a boolean mask and reduced by numpy's mean and cov; NaN

@@ -15,7 +15,6 @@ from semgmm import (
     SemConfig,
     assemble_bounds,
     em_fit,
-    em_m_step,
     load_csv,
     load_model,
     log_likelihood,
@@ -322,7 +321,7 @@ def test_criterion_12_bound_formula_fixture():
     # concentration hypothesis at any delta < 1, so both are inapplicable
     sym = np.array([[0.9, 0.1], [0.6, 0.4], [0.4, 0.6], [0.1, 0.9]])
     resp = from_probs(sym)
-    report = assemble_bounds(resp, data, em_m_step(resp, data), 0.05)
+    report = assemble_bounds(resp, data, 0.05)
     oracle = scalar_bound_report(
         data.points[:, 0].tolist(), sym.tolist(), 0.05
     )
@@ -335,7 +334,7 @@ def test_criterion_12_bound_formula_fixture():
     skew = np.array([[0.99, 0.01], [0.99, 0.01], [0.99, 0.01], [0.93, 0.07]])
     resp = from_probs(skew)
     delta = 0.6
-    report = assemble_bounds(resp, data, em_m_step(resp, data), delta)
+    report = assemble_bounds(resp, data, delta)
     oracle = scalar_bound_report(
         data.points[:, 0].tolist(), skew.tolist(), delta
     )

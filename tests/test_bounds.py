@@ -6,6 +6,7 @@ import pytest
 import semgmm.bounds
 from semgmm import (
     DataSet,
+    DegeneracyError,
     assemble_bounds,
     compute_rho,
     compute_tau,
@@ -225,9 +226,8 @@ class TestAssembleBounds:
         probs = raw / raw.sum(axis=1, keepdims=True)
         data = DataSet(pts[:, None])
         resp = from_probs(probs)
-        em = em_m_step(resp, data)
         delta = 0.05
-        report = assemble_bounds(resp, data, em, delta)
+        report = assemble_bounds(resp, data, delta)
         oracle = scalar_bound_report(pts.tolist(), probs.tolist(), delta)
         for k, (wb, mb, cb, applicable) in enumerate(oracle):
             assert report.weight_bound[k] == pytest.approx(wb, rel=1e-10)
@@ -240,7 +240,7 @@ class TestAssembleBounds:
         _, data, _, model0 = make_instance(75, d=3, k=2, n=5000)
         resp = responsibilities(model0, data)
         em = em_m_step(resp, data)
-        report = assemble_bounds(resp, data, em, 0.05)
+        report = assemble_bounds(resp, data, 0.05)
         assert np.isfinite(report.mean_bound_euclid).all()
         assert rho_calls == []
         cov_bound = report.cov_bound
@@ -250,13 +250,40 @@ class TestAssembleBounds:
         )
         assert len(rho_calls) == 1
 
+    def test_em_model_computed_on_first_access(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return em_m_step(*args, **kwargs)
+
+        monkeypatch.setattr(semgmm.bounds, "em_m_step", counting)
+        _, data, _, model0 = make_instance(75, d=3, k=2, n=5000)
+        resp = responsibilities(model0, data)
+        report = assemble_bounds(resp, data, 0.05)
+        assert calls == []
+        assert report.rho.shape == (2, 3, 3)
+        assert len(calls) == 1
+        assert report.cov_bound.shape == (2, 3, 3)
+        assert len(calls) == 1
+        em = em_m_step(resp, data)
+        assert np.array_equal(report.em_means, em.means)
+        for name in ("weights", "means", "covariances"):
+            assert np.array_equal(getattr(report.em_model, name), getattr(em, name))
+
+    def test_zero_mass_component_raises_degeneracy(self):
+        # the EM means are taken before lambda_weight sees r_k = 0
+        data = DataSet(np.linspace(0.0, 1.0, 6)[:, None])
+        resp = from_probs(np.column_stack([np.ones(6), np.zeros(6)]))
+        with pytest.raises(DegeneracyError, match="component 1"):
+            assemble_bounds(resp, data, 0.05)
+
     def test_inapplicable_marked_nan(self):
         # tiny responsibility mass: hypothesis 2 e^{-r/3} <= delta fails
         data = DataSet(np.linspace(0.0, 1.0, 6)[:, None])
         probs = np.column_stack([np.full(6, 0.99), np.full(6, 0.01)])
         resp = from_probs(probs)
-        em = em_m_step(resp, data)
-        report = assemble_bounds(resp, data, em, 0.01)
+        report = assemble_bounds(resp, data, 0.01)
         assert not report.applicable[1]
         assert np.isnan(report.mean_bound[1]).all()
         assert np.isnan(report.cov_bound[1]).all()
@@ -265,8 +292,7 @@ class TestAssembleBounds:
     def test_euclid_norm_consistent(self):
         _, data, _, model0 = make_instance(75, d=3, k=2, n=5000)
         resp = responsibilities(model0, data)
-        em = em_m_step(resp, data)
-        report = assemble_bounds(resp, data, em, 0.05)
+        report = assemble_bounds(resp, data, 0.05)
         for k in range(2):
             if report.applicable[k]:
                 assert report.mean_bound_euclid[k] == pytest.approx(
@@ -280,8 +306,7 @@ class TestAssembleBounds:
         for n in (1000, 4000):
             data = DataSet(substream(76, n).normal(size=(n, 1)))
             resp = half_half_resp(n)
-            em = em_m_step(resp, data)
-            reports[n] = assemble_bounds(resp, data, em, 0.05)
+            reports[n] = assemble_bounds(resp, data, 0.05)
         ratio = reports[1000].lambda_w[0] / reports[4000].lambda_w[0]
         assert ratio == pytest.approx(2.0, rel=1e-12)
 

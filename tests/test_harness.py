@@ -201,6 +201,17 @@ class TestBoundExperiment:
         _, _, rows = read_trace(run_bound_experiment(plan))
         assert any(r[6] == "1" for r in rows)
 
+    def test_never_computes_em_covariances(self, tmp_path, monkeypatch):
+        # the EM reference of the trace is its means alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("EM covariances computed by the bound experiment")
+
+        monkeypatch.setattr(semgmm.em, "_em_params", forbidden)
+        plan = tiny_plan(tmp_path, dataset=GenSpec(d=2, k=2, n=2000, rng_seed=6),
+                         master_seed=6)
+        _, _, rows = read_trace(run_bound_experiment(plan))
+        assert any(r[6] == "1" for r in rows)
+
 
 class TestSpeedExperiment:
     def test_trace_and_counts(self, tmp_path):
@@ -392,6 +403,15 @@ class TestCli:
                           "--seed", 4, "--out", out)
             assert res.returncode == 0, res.stderr
             load_model(out / "final_model.txt")
+
+    def test_init_creates_out_directory(self, tmp_path):
+        run_cli("gen", "--d", 2, "--k", 2, "--n", 200, "--seed", 4,
+                "--out", tmp_path)
+        out = tmp_path / "new" / "dir"
+        res = run_cli("init", "--data", tmp_path / "data.csv", "--k", 2,
+                      "--seed", 4, "--out", out)
+        assert res.returncode == 0, res.stderr
+        assert load_model(out / "init_model.txt").k == 2
 
     def test_normalize_command(self, tmp_path):
         (tmp_path / "raw.csv").write_text("0,5\n10,5\n4,5\n")

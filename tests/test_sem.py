@@ -16,11 +16,11 @@ from semgmm import (
 )
 from semgmm.em import em_m_step
 from semgmm.estep import from_probs, posterior_weights
-from semgmm.sem import PartialParams, component_mle, hard_params, repair_component
+from semgmm.sem import PartialParams, hard_params, repair_component
 from semgmm.rng import substream
 
 from conftest import make_instance, separated_instance
-from oracles import row_cdf_labels
+from oracles import component_mle, row_cdf_labels
 
 
 class TestSemConfig:
