@@ -18,7 +18,7 @@ import numpy as np
 from .em import em_m_step, em_means
 from .estep import ResponsibilityMatrix
 from .model import DataSet, MixtureModel, block_width, column_blocks
-from .sem import hard_params, sample_assignment
+from .sem import hard_means, hard_params, sample_assignment
 
 E = math.e
 
@@ -311,13 +311,15 @@ def monte_carlo_violation_rate(
     how often each proximity bound of assemble_bounds is violated by the
     stochastic update of the sampled assignment.
 
-    Each trial draws one assignment with sample_assignment and takes its
-    hard_params, the statistics the stochastic M-step uses.  Weight
-    violations are counted on every trial; mean violations only on trials
-    where the weight event held, for components whose bounds are applicable;
-    covariance violations only where, in addition, the two relevant
-    coordinate mean bounds held.  `batch` is accepted for compatibility and
-    changes neither the results nor the memory used.
+    Each trial draws one assignment with sample_assignment and takes only
+    the statistics of the stochastic M-step that its target reads: the
+    label counts for weights, hard_means for means, hard_params for
+    covariances.  Weight violations are counted on every trial; mean
+    violations only on trials where the weight event held, for components
+    whose bounds are applicable; covariance violations only where, in
+    addition, the two relevant coordinate mean bounds held.  `batch` is
+    accepted for compatibility and changes neither the results nor the
+    memory used.
     """
     if which not in ("weights", "means", "covariances"):
         raise ValueError(f"unknown target {which!r}")
@@ -340,12 +342,14 @@ def monte_carlo_violation_rate(
             viol += ~w_ok
             continue
         valid = w_ok & report.applicable & (assign.counts > 0)
-        sem = hard_params(assign, data)
-        mean_ok = np.abs(sem.means - report.em_means) <= report.mean_bound
         if which == "means":
+            means = hard_means(assign, data)
+            mean_ok = np.abs(means - report.em_means) <= report.mean_bound
             cond += valid[:, None]
             viol += valid[:, None] & ~mean_ok
             continue
+        sem = hard_params(assign, data)
+        mean_ok = np.abs(sem.means - report.em_means) <= report.mean_bound
         cond_ij = valid[:, None, None] & mean_ok[:, :, None] & mean_ok[:, None, :]
         cond += cond_ij
         viol += cond_ij & (np.abs(sem.covariances - em_covs) > report.cov_bound)

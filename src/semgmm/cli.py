@@ -219,7 +219,7 @@ def main(argv=None) -> int:
         if args.command == "speed":
             return _cmd_speed(args)
         return EXIT_USAGE
-    except (DataError, InvalidModelError, FileNotFoundError) as exc:
+    except (DataError, InvalidModelError, OSError) as exc:
         print(f"semgmm: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DegeneracyError as exc:

@@ -6,7 +6,15 @@ import numpy as np
 from .estep import ResponsibilityMatrix, responsibilities
 from .model import Assignment, DataError, DataSet, DegeneracyError, MixtureModel
 from .rng import substream
-from .sem import PartialParams, SemConfig, factorizable, finalize_model, fit_rounds, hard_params
+from .sem import (
+    PartialParams,
+    SemConfig,
+    factorizable,
+    finalize_model,
+    fit_rounds,
+    hard_means,
+    hard_params,
+)
 
 #: a component whose responsibility mass falls below this fraction of N is degenerate
 DEGENERATE_FRACTION = 1e-12
@@ -57,7 +65,7 @@ def em_means(resp: ResponsibilityMatrix, data: DataSet) -> np.ndarray:
     covariances.
 
     Bit for bit the means of em_m_step(resp, data): one-hot responsibilities
-    take hard_params' means, soft ones the same product per component.  A
+    take hard_means, soft ones the same product per component.  A
     component with (near) zero responsibility mass raises as em_m_step
     does; a covariance that em_m_step could not repair does not.
     """
@@ -66,7 +74,7 @@ def em_means(resp: ResponsibilityMatrix, data: DataSet) -> np.ndarray:
         raise DegeneracyError(int(np.argmin(live)), _DEGENERATE_MESSAGE)
     p = resp.probs
     if _is_hard(p):
-        return hard_params(Assignment(p.argmax(axis=1), p.shape[1]), data).means
+        return hard_means(Assignment(p.argmax(axis=1), p.shape[1]), data)
     xt = data.points.T
     r = resp.column_sums
     return np.stack([xt @ p[:, k] / r[k] for k in range(p.shape[1])])

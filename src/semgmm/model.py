@@ -38,6 +38,12 @@ class DegeneracyError(RuntimeError):
     def __init__(self, component: int, message: str):
         super().__init__(f"component {component}: {message}")
         self.component = component
+        self.message = message
+
+    def __reduce__(self):
+        # args holds only the formatted text, so rebuild from both fields;
+        # pickling and copying (as worker processes need) go through here
+        return type(self), (self.component, self.message), self.__dict__
 
 
 class DataSet:
@@ -188,40 +194,58 @@ def validate(model: MixtureModel) -> str | None:
 class Assignment:
     """A hard assignment of each point to one component (dense label encoding).
 
-    `labels` holds 0-based component indices; `counts[k]` is the number of
-    points assigned to component k and always sums to N.
+    `labels` holds 0-based component indices in the smallest unsigned type
+    that holds K - 1, which lets group_order sort them by radix; `counts[k]`
+    is the number of points assigned to component k and always sums to N.
+    Both are read-only.
     """
 
     def __init__(self, labels, k: int):
-        lab = np.array(labels, dtype=np.int64)
+        lab = np.asarray(labels, dtype=np.int64)
         if lab.ndim != 1:
             raise DataError("labels must be a 1-d sequence")
         if k < 1:
             raise DataError("need K >= 1")
         if lab.size and (lab.min() < 0 or lab.max() >= k):
             raise DataError(f"labels out of range [0, {k})")
-        lab.setflags(write=False)
+        self._adopt(lab, np.bincount(lab, minlength=k))
+
+    @classmethod
+    def from_counts(cls, labels: np.ndarray, counts: np.ndarray) -> "Assignment":
+        """The assignment of integer `labels` already known to lie in
+        [0, K), with their per-label `counts` (K = len(counts)), as a sampler
+        that counted while it labelled holds them.  Only the total is
+        checked; a labels array of the small type is adopted without a copy.
+        """
+        if counts.ndim != 1 or counts.size < 1 or counts.sum() != labels.size:
+            raise DataError("label counts do not sum to N")
+        assign = cls.__new__(cls)
+        assign._adopt(labels, counts)
+        return assign
+
+    def _adopt(self, labels: np.ndarray, counts: np.ndarray) -> None:
+        k = counts.size
+        lab = labels.astype(np.min_scalar_type(k - 1), copy=False)
+        for a in (lab, counts):
+            a.setflags(write=False)
         self.labels = lab
         self.k = k
-        counts = np.bincount(lab, minlength=k)
-        counts.setflags(write=False)
         self.counts = counts
         self.n = lab.size
 
 
-def group_order(labels: np.ndarray, counts: np.ndarray):
+def group_order(assign: Assignment):
     """The stable order that groups points by label, and the offsets
     delimiting each component in it.
 
     Component k's points are order[offsets[k]:offsets[k+1]], in their
     original order: gathered with np.take they give the same values in the
     same order as a boolean mask labels == k, so per-component statistics
-    match a masked gather bit for bit.  One stable sort replaces K
-    boolean-mask passes.
+    match a masked gather bit for bit.  One stable sort of the small-integer
+    labels replaces K boolean-mask passes.
     """
-    small = labels.astype(np.min_scalar_type(len(counts) - 1))
-    order = np.argsort(small, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    order = np.argsort(assign.labels, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(assign.counts)))
     return order, offsets
 
 

@@ -95,13 +95,18 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
     in one call; the running sums are then accumulated over column blocks
     of the K x N transpose (the E-step's own layout), component by
     component, adding in the same order as a row-wise cumulative sum, and
-    each block's comparisons are counted into small-integer labels.
+    each block's comparisons are counted into small-integer labels and into
+    the label counts, so the Assignment takes no pass of its own.
     """
     q = weights.probs if isinstance(weights, ResponsibilityMatrix) else weights
     n, k = q.shape
     qt = q.T
     u = rng.random(n)
     labels = np.empty(n, dtype=np.min_scalar_type(k))
+    # above[j] counts the points whose label exceeds j: a running sum never
+    # decreases, so a point's comparisons hold on exactly its first `label`
+    # rows
+    above = np.zeros(k, dtype=np.intp)
     blocks = column_blocks(n, k)
     cum_buf = np.empty(k * blocks[0].stop)
     below_buf = np.empty(cum_buf.size, dtype=bool)
@@ -117,10 +122,18 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
         below = below_buf[: cum.size].reshape(cum.shape)
         np.less_equal(cum, ub, out=below)
         np.add.reduce(below.view(np.uint8), axis=0, dtype=labels.dtype, out=labels[cols])
-    past = np.flatnonzero(labels == k)
-    if past.size:
-        labels[past] = k - 1 - np.argmax(q[past, ::-1] > 0, axis=1)
-    return Assignment(labels, k)
+        # one flat count per row: count_nonzero along an axis sums through
+        # a cast and took about 3 times as long at K = 10
+        for j in range(k):
+            above[j] += np.count_nonzero(below[j])
+    counts = np.concatenate(([n], above[:-1])) - above
+    if above[-1]:
+        # the above[-1] draws that rounding sent past the row total
+        past = np.flatnonzero(labels == k)
+        last = k - 1 - np.argmax(q[past, ::-1] > 0, axis=1)
+        labels[past] = last
+        counts += np.bincount(last, minlength=k)
+    return Assignment.from_counts(labels, counts)
 
 
 def repair_component(
@@ -198,22 +211,43 @@ def finalize_model(
     return MixtureModel(weights, partial.means, partial.covariances)
 
 
+def _grouped(assign: Assignment, data: DataSet) -> tuple[np.ndarray, np.ndarray]:
+    """The D x N coordinate rows gathered so that each label's points are
+    contiguous and in their original order, and the offsets delimiting each
+    label in them (group_order)."""
+    if assign.n != data.n:
+        raise DataError("assignment and data disagree on N")
+    order, offsets = group_order(assign)
+    return np.take(data.points.T, order, axis=1), offsets
+
+
+def hard_means(assign: Assignment, data: DataSet) -> np.ndarray:
+    """K x D per-label means of the points assigned to each component, NaN
+    rows for empty components.
+
+    The same mean of the same gathered rows as hard_params, so bit for bit
+    hard_params(assign, data).means, without the covariances.
+    """
+    grouped, offsets = _grouped(assign, data)
+    means = np.full((assign.k, data.d), np.nan)
+    for k in np.flatnonzero(assign.counts):
+        means[k] = grouped[:, offsets[k]:offsets[k + 1]].mean(axis=1)
+    return means
+
+
 def hard_params(assign: Assignment, data: DataSet) -> PartialParams:
     """Per-label Gaussian MLE: each component's mean and biased covariance
     over the points assigned to it, and the label counts.
 
-    Empty components keep NaN rows; nothing is repaired.  This is the one
-    implementation of the hard-assignment statistics, shared by the
-    stochastic M-step, the deterministic M-step under one-hot
+    Empty components keep NaN rows; nothing is repaired.  With hard_means,
+    this is the one implementation of the hard-assignment statistics, shared
+    by the stochastic M-step, the deterministic M-step under one-hot
     responsibilities, the bound experiment and the Monte-Carlo validator.
     """
-    if assign.n != data.n:
-        raise DataError("assignment and data disagree on N")
+    grouped, offsets = _grouped(assign, data)
     k_total, d = assign.k, data.d
     means = np.full((k_total, d), np.nan)
     covs = np.full((k_total, d, d), np.nan)
-    order, offsets = group_order(assign.labels, assign.counts)
-    grouped = np.take(data.points.T, order, axis=1)
     for k in np.flatnonzero(assign.counts):
         means[k], covs[k] = _rows_mle(grouped[:, offsets[k]:offsets[k + 1]])
     return PartialParams(means, covs, assign.counts.astype(np.float64))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataError, DataSet, MixtureModel, group_order
+from .model import Assignment, DataError, DataSet, MixtureModel, group_order
 
 
 class GenerationError(RuntimeError):
@@ -121,7 +121,7 @@ def sample_dataset(
     # component over its grouped draws (contiguous rows of g), written as
     # coordinate rows; one gather by the inverse order then puts every
     # point back in place in the D x N buffer the data set adopts
-    order, offsets = group_order(labels, np.bincount(labels, minlength=model.k))
+    order, offsets = group_order(Assignment(labels, model.k))
     grouped = np.take(g, order, axis=0)
     del g
     y = np.empty((model.d, n))

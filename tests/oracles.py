@@ -263,3 +263,42 @@ def full_tau(probs, points, means):
         xc2 = (xt - means[k][:, None]) ** 2
         out[k] = np.sqrt(xc2 @ q[:, k])
     return out
+
+
+def per_trial_violation_rates(report, trials, rng, which):
+    """Violation and conditioning rates of the Monte-Carlo validator by its
+    definition, for the bound report of its responsibilities and data: every
+    trial draws labels from the row-wise cumulative sums (row_cdf_labels),
+    counts them with bincount and takes every label's mean and covariance
+    from a boolean-mask gather (component_mle), whatever the target reads."""
+    probs = report.resp.probs
+    points = report.data.points
+    n = len(points)
+    k_total, d = report.em_means.shape
+    w_em = report.resp.column_sums / n
+    shape = {"weights": (k_total,), "means": (k_total, d), "covariances": (k_total, d, d)}
+    viol = np.zeros(shape[which])
+    cond = np.zeros(shape[which])
+    for _ in range(trials):
+        labels = row_cdf_labels(probs, rng)
+        counts = np.bincount(labels, minlength=k_total)
+        means = np.full((k_total, d), np.nan)
+        covs = np.full((k_total, d, d), np.nan)
+        for k in np.flatnonzero(counts):
+            means[k], covs[k] = component_mle(points[labels == k])
+        w_ok = np.abs(counts / n - w_em) <= report.weight_bound
+        valid = w_ok & report.applicable & (counts > 0)
+        mean_ok = np.abs(means - report.em_means) <= report.mean_bound
+        if which == "weights":
+            held, broken = np.ones(k_total, dtype=bool), ~w_ok
+        elif which == "means":
+            held = valid[:, None] & np.ones(d, dtype=bool)
+            broken = held & ~mean_ok
+        else:
+            held = valid[:, None, None] & mean_ok[:, :, None] & mean_ok[:, None, :]
+            broken = held & (np.abs(covs - report.em_model.covariances) > report.cov_bound)
+        cond += held
+        viol += broken
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rate = np.where(cond > 0, viol / np.maximum(cond, 1.0), np.nan)
+    return rate, cond / trials

@@ -347,7 +347,7 @@ def test_criterion_12_bound_formula_fixture():
             ok &= abs(report.mean_bound_euclid[k] - mb) <= 1e-10
 
     # both branches of the deviation factor and the boundary between them
-    from semgmm import lambda_mean
+    from semgmm.bounds import lambda_mean
     for sd, cap, d_ in ((2.0, 1.0, 0.1), (0.5, 1.0, 0.1)):
         ok &= abs(lambda_mean(sd, cap, d_) - scalar_lambda_dev(sd, cap, d_)) <= 1e-10
     d_ = 0.07

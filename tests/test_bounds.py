@@ -8,15 +8,11 @@ from semgmm import (
     DataSet,
     DegeneracyError,
     assemble_bounds,
-    compute_rho,
-    compute_tau,
     em_m_step,
-    lambda_cov,
-    lambda_mean,
-    lambda_weight,
     monte_carlo_violation_rate,
     responsibilities,
 )
+from semgmm.bounds import compute_rho, compute_tau, lambda_cov, lambda_mean, lambda_weight
 from semgmm.estep import from_probs
 from semgmm.rng import substream
 
@@ -24,6 +20,7 @@ from conftest import make_instance
 from oracles import (
     chunked_rho,
     elementwise_tau,
+    per_trial_violation_rates,
     scalar_bound_report,
     scalar_lambda_dev,
     scalar_lambda_w,
@@ -385,6 +382,33 @@ class TestMonteCarloViolationRate:
         data, resp = half_half_case
         monte_carlo_violation_rate(resp, data, 0.05, 1000, substream(88), which)
         assert len(rho_calls) == calls
+
+    @pytest.mark.parametrize("which", ["weights", "means", "covariances"])
+    def test_rates_match_per_trial_oracle(self, which):
+        # a loose budget, so that weight and mean bounds break on some trials;
+        # the covariance bounds hold throughout, but their conditioning on
+        # the mean bounds fails on some
+        _, data, _, model0 = make_instance(89, d=3, k=3, n=600)
+        resp = responsibilities(model0, data)
+        rep = monte_carlo_violation_rate(resp, data, 0.9, 1000, substream(90), which)
+        rate, cond = per_trial_violation_rates(
+            assemble_bounds(resp, data, 0.9), 1000, substream(90), which
+        )
+        if which == "covariances":
+            assert (rep.conditioning_rate < 1.0).any()
+        else:
+            assert np.nansum(rep.violation_rate) > 0
+        np.testing.assert_array_equal(rep.violation_rate, rate)
+        np.testing.assert_array_equal(rep.conditioning_rate, cond)
+
+    def test_means_target_takes_no_covariances(self, half_half_case, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hard_params called for the means target")
+
+        monkeypatch.setattr(semgmm.bounds, "hard_params", refuse)
+        data, resp = half_half_case
+        rep = monte_carlo_violation_rate(resp, data, 0.05, 1000, substream(91), "means")
+        assert (rep.conditioning_rate > 0.9).all()
 
     def test_rejects_few_trials(self, half_half_case):
         data, resp = half_half_case

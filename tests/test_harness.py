@@ -500,6 +500,18 @@ class TestCli:
         assert "semgmm: data error:" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("init", "--data", "{dir}", "--k", 1),
+        ("fit-em", "--data", "{csv}", "--model", "{dir}", "--rounds", 1),
+    ], ids=["init-data-dir", "fit-model-dir"])
+    def test_directory_path_is_data_error(self, tmp_path, argv):
+        (tmp_path / "ok.csv").write_text("0,1\n1,0\n2,2\n3,1\n")
+        paths = {"dir": tmp_path, "csv": tmp_path / "ok.csv"}
+        res = run_cli(*(str(a).format(**paths) for a in argv), "--out", tmp_path / "out")
+        assert res.returncode == 2
+        assert "semgmm: data error:" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_missing_file_exit_code(self, tmp_path):
         res = run_cli("init", "--data", tmp_path / "absent.csv", "--k", 1)
         assert res.returncode == 2

@@ -11,8 +11,6 @@ import pytest
 
 from semgmm import (
     DataSet,
-    compute_rho,
-    compute_tau,
     GenSpec,
     MixtureModel,
     SemConfig,
@@ -26,6 +24,7 @@ from semgmm import (
     sample_dataset,
     save_csv,
 )
+from semgmm.bounds import compute_rho, compute_tau
 from semgmm.em import _em_params, em_means, em_round
 from semgmm.estep import from_probs, posterior_weights
 from semgmm.model import (

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from semgmm import (
     Assignment,
     DataError,
     DataSet,
+    DegeneracyError,
     InvalidModelError,
     MixtureModel,
     SemConfig,
@@ -232,6 +235,36 @@ class TestAssignment:
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
             Assignment([0, 3], k=2)
+
+    @pytest.mark.parametrize("k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_labels_in_smallest_unsigned_type(self, k, dtype):
+        given = np.array([0, k - 1, 0])
+        a = Assignment(given, k)
+        assert a.labels.dtype == dtype
+        np.testing.assert_array_equal(a.labels, given)
+        assert not a.labels.flags.writeable and not a.counts.flags.writeable
+        assert given.flags.writeable
+
+    def test_from_counts_adopts_labels(self):
+        labels = np.array([2, 0, 2], dtype=np.uint8)
+        a = Assignment.from_counts(labels, np.array([1, 0, 2]))
+        assert a.labels is labels and (a.k, a.n) == (3, 3)
+        np.testing.assert_array_equal(a.counts, [1, 0, 2])
+
+    def test_from_counts_rejects_wrong_total(self):
+        with pytest.raises(DataError, match="sum to N"):
+            Assignment.from_counts(np.zeros(3, dtype=np.uint8), np.array([2, 0]))
+
+
+class TestDegeneracyError:
+    @pytest.mark.parametrize("clone", [
+        lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip(self, clone):
+        err = clone(DegeneracyError(2, "zero responsibility mass"))
+        assert isinstance(err, DegeneracyError)
+        assert err.component == 2
+        assert str(err) == "component 2: zero responsibility mass"
 
 
 @given(

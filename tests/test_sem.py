@@ -16,7 +16,8 @@ from semgmm import (
 )
 from semgmm.em import em_m_step
 from semgmm.estep import from_probs, posterior_weights
-from semgmm.sem import PartialParams, hard_params, repair_component
+from semgmm.model import block_width
+from semgmm.sem import PartialParams, hard_means, hard_params, repair_component
 from semgmm.rng import substream
 
 from conftest import make_instance, separated_instance
@@ -146,8 +147,39 @@ class TestSampleUnnormalizedRows:
             [0.25, 0.75, 0.0, 0.0, 0.0],
         ])
         assert (1.0 - 2.0**-53) * rows[0].sum() == rows[0].sum()
-        labels = sample_assignment(rows, _MaxDraw()).labels
-        np.testing.assert_array_equal(labels, [3, 0, 1])
+        assign = sample_assignment(rows, _MaxDraw())
+        np.testing.assert_array_equal(assign.labels, [3, 0, 1])
+        np.testing.assert_array_equal(assign.counts, [1, 1, 0, 1, 0])
+
+
+class TestSampledCounts:
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("blocks", ["1", "B-1", "B+1", "3B+7"])
+    def test_counts_match_bincount(self, k, blocks):
+        b = block_width(k)
+        n = {"1": 1, "B-1": b - 1, "B+1": b + 1, "3B+7": 3 * b + 7}[blocks]
+        # zero entries make some labels rare or absent
+        rows = substream(64, k, n).random((n, k)) ** 4
+        rows[:, k // 2] = 0.0 if k > 1 else 1.0
+        assign = sample_assignment(rows, substream(65, k, n))
+        np.testing.assert_array_equal(assign.labels, row_cdf_labels(rows, substream(65, k, n)))
+        np.testing.assert_array_equal(assign.counts, np.bincount(assign.labels, minlength=k))
+        assert assign.labels.dtype == np.min_scalar_type(k - 1)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_counts_after_draws_past_the_row_total(self, k):
+        # subnormal rows scattered over several blocks send the draw past the
+        # row total; the fix-up moves them to their last positive entry
+        n = 3 * block_width(k) + 7
+        rows = substream(66, k).random((n, k))
+        tiny = np.nextafter(0.0, 1.0)
+        past = substream(67, k).choice(n, size=40, replace=False)
+        rows[past] = tiny * (substream(68, k).random((40, k)) < 0.5)
+        rows[past, 0] = 2 * tiny
+        assign = sample_assignment(rows, _MaxDraw())
+        np.testing.assert_array_equal(assign.labels, row_cdf_labels(rows, _MaxDraw()))
+        np.testing.assert_array_equal(assign.counts, np.bincount(assign.labels, minlength=k))
+        assert (assign.labels[past] < k).all()
 
 
 class TestHardParams:
@@ -167,6 +199,30 @@ class TestHardParams:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DataError):
             hard_params(Assignment([0, 1], 2), DataSet(np.zeros((3, 1))))
+
+
+class TestHardMeans:
+    @pytest.mark.parametrize("d", [3, 10])
+    @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6)])
+    def test_equal_to_hard_params_means(self, d, offset, scale):
+        rng = substream(69, d)
+        data = DataSet(rng.normal(size=(5000, d)) * scale + offset)
+        assign = Assignment(rng.integers(0, 4, size=5000), 4)
+        np.testing.assert_array_equal(
+            hard_means(assign, data), hard_params(assign, data).means
+        )
+
+    def test_empty_label_gives_nan_row(self):
+        pts = substream(70).normal(size=(30, 2))
+        labels = np.arange(30) % 2 * 2  # label 1 stays empty
+        means = hard_means(Assignment(labels, 3), DataSet(pts))
+        assert np.isnan(means[1]).all()
+        for k in (0, 2):
+            np.testing.assert_array_equal(means[k], component_mle(pts[labels == k])[0])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(DataError):
+            hard_means(Assignment([0, 1], 2), DataSet(np.zeros((3, 1))))
 
 
 class TestSemMStep:
