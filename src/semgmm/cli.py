@@ -149,7 +149,7 @@ def _cmd_gen(args) -> int:
     save_model(truth, out / "truth_model.txt")
     save_csv(data, out / "data.csv")
     with open(out / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{v}\n" for v in labels)
+        fh.write("".join(f"{v}\n" for v in labels.tolist()))
     return EXIT_OK
 
 

@@ -12,7 +12,14 @@ from semgmm import (
     monte_carlo_violation_rate,
     responsibilities,
 )
-from semgmm.bounds import compute_rho, compute_tau, lambda_cov, lambda_mean, lambda_weight
+from semgmm.bounds import (
+    BoundReport,
+    compute_rho,
+    compute_tau,
+    lambda_cov,
+    lambda_mean,
+    lambda_weight,
+)
 from semgmm.estep import from_probs
 from semgmm.rng import substream
 
@@ -400,6 +407,28 @@ class TestMonteCarloViolationRate:
             assert np.nansum(rep.violation_rate) > 0
         np.testing.assert_array_equal(rep.violation_rate, rate)
         np.testing.assert_array_equal(rep.conditioning_rate, cond)
+
+    @pytest.mark.parametrize("case", ["half-half", "d3k3"])
+    def test_shrunk_cov_bound_is_violated(self, half_half_case, monkeypatch, case):
+        # negative control: the covariance bounds are never violated on these
+        # inputs, so a validator that cannot see violations would pass too;
+        # with every bound 1000 times tighter, the rate must exceed delta
+        # wherever the conditioning event occurs
+        exact = BoundReport.cov_bound
+        monkeypatch.setattr(
+            BoundReport, "cov_bound", property(lambda rep: exact.__get__(rep) * 1e-3)
+        )
+        if case == "half-half":
+            (data, resp), delta = half_half_case, 0.05
+        else:
+            _, data, _, model0 = make_instance(89, d=3, k=3, n=600)
+            resp, delta = responsibilities(model0, data), 0.5
+        rep = monte_carlo_violation_rate(
+            resp, data, delta, 1000, substream(92), "covariances"
+        )
+        conditioned = rep.conditioning_rate > 0
+        assert conditioned.all()
+        assert (rep.violation_rate[conditioned] > delta).all()
 
     def test_means_target_takes_no_covariances(self, half_half_case, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,12 @@ CSV_EDGES = {
     "spaces": " 1 , 2 \n3,4\n",
     "underscore-digits": "1_0,2\n",
     "one-column": "1\n2\n3\n",
+    "crlf-blank-line-inside": "1,2\r\n\r\n3,4\r\n",
+    "crlf-blank-line-trailing": "1,2\r\n3,4\r\n\r\n",
+    "cr-line-endings": "1,2\r3,4\r",
+    "utf8-bom": "\ufeff1,2\n3,4\n",
+    "tab-line": "1,2\n\t\n3,4\n",
+    "whitespace-line-crlf": "1,2\r\n \r\n3,4\r\n",
 }
 
 
@@ -120,6 +128,77 @@ class TestCsvFastPath:
         path.write_text(CSV_EDGES["nan-token"])
         with pytest.raises(DataError, match="row 2, column 1: non-finite"):
             load_csv(path)
+
+
+class TestCsvChunkBoundaries:
+    """load_csv's pre-scan reads fixed-size chunks; with a chunk of a few
+    bytes every byte pair of these files straddles some boundary."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "text", ["1,2\n\n3,4\n", "1,2\r\n\r\n3,4\r\n", "1,2\r\r3,4\r"],
+        ids=["lf", "crlf", "cr"],
+    )
+    def test_blank_line_across_chunks_rejected(self, tmp_path, monkeypatch, chunk, text):
+        monkeypatch.setattr(semgmm.ingest, "_CHUNK", chunk)
+        path = tmp_path / "blank.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError, match="row 2 has 1 fields, expected 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 6, 7])
+    def test_split_multibyte_character_is_utf8(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(semgmm.ingest, "_CHUNK", chunk)
+        path = tmp_path / "euro.csv"
+        path.write_bytes("1,2\n3,\u20ac\n".encode("utf-8"))
+        with pytest.raises(DataError, match="row 2, column 2: bad token '\u20ac'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 7])
+    @pytest.mark.parametrize(
+        "raw", [b"1,2\n3,4\n5,\xff\n", b"1,2\n3,4\n5,\xe2\x82x\n", b"1,2\n3,4\n5,\xe2\x82"],
+        ids=["invalid-start", "invalid-continuation", "truncated"],
+    )
+    def test_bad_byte_at_absolute_offset(self, tmp_path, monkeypatch, chunk, raw):
+        monkeypatch.setattr(semgmm.ingest, "_CHUNK", chunk)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError) as want:
+            raw.decode("utf-8")
+        with pytest.raises(DataError) as got:
+            load_csv(path)
+        assert str(got.value) == (
+            f"{path}: not UTF-8 text (byte {want.value.start}: {want.value.reason})"
+        )
+        assert want.value.start >= 10
+
+
+def test_load_csv_peak_memory(tmp_path):
+    """Parsing allocates about two arrays of the float64 data (numpy's N x D
+    result and the D x N DataSet buffer), not copies of the file's text."""
+    pts = substream(116).normal(size=(200_000, 3))
+    path = tmp_path / "draw.csv"
+    save_csv(DataSet(pts), path)
+    tracemalloc.start()
+    try:
+        data = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(data.points, pts)
+    assert peak < 3 * pts.nbytes, peak / pts.nbytes
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_bytes_match_savetxt(self, tmp_path, d):
+        rng = substream(117)
+        pts = rng.normal(size=(9001, d)) * 10.0 ** rng.integers(-300, 300, size=(9001, d))
+        pts[:6, 0] = [-0.0, 5e-324, 2.2e-308, 1e308, -1e308, 1.0 / 3.0]
+        path = tmp_path / "data.csv"
+        save_csv(DataSet(pts), path)
+        np.savetxt(tmp_path / "ref.csv", pts, fmt="%.17g", delimiter=",", newline="\n")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestModelRoundTrip:
