@@ -83,7 +83,8 @@ def _build_parser() -> _Parser:
         c.add_argument("--rounds", type=int, default=None)
         c.add_argument("--inits", type=int, default=None)
         c.add_argument("--runs", type=int, default=None)
-        c.add_argument("--jobs", type=int, default=1)
+        c.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the trajectories (1: run in this process)")
         c.add_argument("--profile", choices=("ci", "full"), default=None)
         if name == "bounds":
             c.add_argument("--delta", type=float, default=None)

@@ -9,13 +9,23 @@ Seeding layout (all streams derive from the plan's master seed):
 Results are a pure function of the plan and are independent of n_jobs and
 scheduling: every (init, run) pair owns its streams and rows are merged in
 sorted (init, run, round) order.
+
+Parallelism: with n_jobs > 1 a protocol sweep runs every trajectory (each
+init's EM run and each SEM run) as one task in a pool of n_jobs worker
+processes, forked once per sweep.  The workers inherit the data set, the
+initial models and the parent's BLAS thread settings, so their results
+carry the bits of an n_jobs 1 run; each task sends back only a compact
+payload (negative log-likelihoods, a packed parameter array or bound rows).
+The process tree holds the parent and n_jobs workers; a worker's resident
+set counts the pages it shares with the parent (the data set) plus its own
+round temporaries, about 40 MB per worker against 45 MB for the parent on
+a D3/K3/N1e5 compare run.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -63,6 +73,13 @@ class ExperimentPlan:
             raise ValueError("delta must be in (0, 1)")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
+        if self.n_jobs > 1:
+            import multiprocessing  # see _map_runs
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ValueError(
+                    "n_jobs > 1 needs the 'fork' process start method, which this platform lacks"
+                )
 
     def ci_scale(self) -> "ExperimentPlan":
         """Desk-scale profile: 3 inits x 10 runs x 20 rounds."""
@@ -104,14 +121,49 @@ def effective_delta(plan: ExperimentPlan, d: int) -> float:
     return 1.0 / (100.0 * plan.k * (d + 1))
 
 
+#: the task of the pool this worker process belongs to (set in each worker)
+_worker_task = None
+
+
+def _set_worker_task(fn):
+    global _worker_task
+    _worker_task = fn
+
+
+def _run_worker_task(key):
+    return _worker_task(key)
+
+
 def _map_runs(fn, keys, n_jobs):
-    """Apply fn over keys, optionally with threads; results keyed for
-    deterministic merge order."""
+    """Apply fn over keys; results keyed for deterministic merge order.
+
+    n_jobs 1 runs in this process.  Otherwise fn runs in min(n_jobs,
+    len(keys)) worker processes started with "fork": they inherit fn and all
+    it reaches (data, models, module state) and the parent's BLAS thread
+    settings, and only keys and results are pickled.  The first error in key
+    order reaches the caller with its type, after the tasks not yet started
+    are cancelled and the workers have exited.
+    """
+    keys = list(keys)
     if n_jobs <= 1:
         return {key: fn(key) for key in keys}
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        futures = {key: pool.submit(fn, key) for key in keys}
-        return {key: fut.result() for key, fut in futures.items()}
+    # imported on first use: these modules add about 1 MB to the resident
+    # memory of every run that never starts a worker
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        min(n_jobs, len(keys)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_task,
+        initargs=(fn,),  # not pickled: a forked worker inherits them
+    ) as pool:
+        futures = {key: pool.submit(_run_worker_task, key) for key in keys}
+        try:
+            return {key: fut.result() for key, fut in futures.items()}
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _write_trace(path: Path, comments: list[str], header: list[str], rows) -> Path:
@@ -141,75 +193,83 @@ def _em_cfg(plan: ExperimentPlan, i: int) -> SemConfig:
     return replace(plan.sem, rng_seed=derive_seed(plan.master_seed, _TAG_EM, i))
 
 
-def _sweep(plan: ExperimentPlan, data: DataSet, per_init, per_run):
-    """The per-init scaffolding of the protocol experiments.
+def _sweep(plan: ExperimentPlan, data: DataSet, per_run, per_init=None):
+    """The scaffolding of the protocol experiments.
 
-    Draws the plan's initial models, computes ctx = per_init(i, model0) once
-    per init, and fans per_run(i, j, model0, ctx) out over the init's runs on
-    plan.n_jobs threads; a run that raises DegeneracyError is excluded.
-    Returns the trace comments (one hash line per init, then one line per
-    excluded run) and, per init, ctx with the results of its kept runs in
-    run order.
+    Draws the plan's initial models and runs per_init(i, model0) once per
+    init (when given) and per_run(i, j, model0) once per run, all as tasks
+    of one _map_runs call on plan.n_jobs workers.  The init tasks come
+    first, so they run next to the runs rather than ahead of them.  A run
+    that raises DegeneracyError is excluded; an error of per_init aborts
+    the sweep.  Returns the trace comments (one hash line per init, then one
+    line per excluded run) and, per init, per_init's result (None without
+    per_init) with the results of its kept runs, keyed by run in run order.
     """
     inits = initial_models(plan, data)
     comments = [f"init {i} hash {model_hash(m)}" for i, m in enumerate(inits)]
+    runs = [(i, j) for i in range(plan.n_inits) for j in range(plan.runs_per_init)]
+    init_keys = [(i, None) for i in range(plan.n_inits)] if per_init else []
+
+    def task(key):
+        i, j = key
+        if j is None:
+            return per_init(i, inits[i])
+        try:
+            return per_run(i, j, inits[i])
+        except DegeneracyError as exc:
+            return exc
+
+    results = _map_runs(task, init_keys + runs, plan.n_jobs)
     excluded = []
-    swept = []
-    for i, model0 in enumerate(inits):
-        ctx = per_init(i, model0)
-
-        def one_run(j, i=i, model0=model0, ctx=ctx):
-            try:
-                return per_run(i, j, model0, ctx)
-            except DegeneracyError as exc:
-                return exc
-
-        results = _map_runs(one_run, range(plan.runs_per_init), plan.n_jobs)
-        kept = []
-        for j in sorted(results):
-            if isinstance(results[j], DegeneracyError):
-                excluded.append(f"excluded: init {i} run {j}: {results[j]}")
-            else:
-                kept.append(results[j])
-        swept.append((ctx, kept))
+    swept = [(results.get((i, None)), {}) for i in range(plan.n_inits)]
+    for i, j in runs:
+        if isinstance(results[i, j], DegeneracyError):
+            excluded.append(f"excluded: init {i} run {j}: {results[i, j]}")
+        else:
+            swept[i][1][j] = results[i, j]
     return comments + excluded, swept
 
 
 def _run_protocols(plan: ExperimentPlan, data: DataSet, protocols) -> list[Path]:
     """One sweep for all the given protocols: EM runs once per init and SEM
-    once per (init, run).
+    once per (init, run), each trajectory as one task.
 
-    A protocol is a pair (payload, write).  payload(i, j, em_traj, sem_traj)
-    runs inside the run's task; write(plan, comments, swept) writes the trace
-    from, per init, the EM trajectory and the payloads of its kept runs.
+    A protocol is a pair (payload, write).  payload(traj) runs inside the
+    trajectory's task and returns what the trace needs of it; write(plan,
+    comments, swept) writes the trace from, per init, the payload of the EM
+    trajectory and the payloads of its kept runs, keyed by run.
     """
 
-    def em_trajectory(i, model0):
-        return em_fit(model0, data, plan.rounds, _em_cfg(plan, i))
+    def payloads(traj):
+        return [payload(traj) for payload, _ in protocols]
 
-    def payloads(i, j, model0, em_traj):
-        sem_traj = sem_fit(model0, data, plan.rounds, _sem_cfg(plan, i, j))
-        return [payload(i, j, em_traj, sem_traj) for payload, _ in protocols]
+    def em_task(i, model0):
+        return payloads(em_fit(model0, data, plan.rounds, _em_cfg(plan, i)))
 
-    comments, swept = _sweep(plan, data, em_trajectory, payloads)
+    def sem_task(i, j, model0):
+        return payloads(sem_fit(model0, data, plan.rounds, _sem_cfg(plan, i, j)))
+
+    comments, swept = _sweep(plan, data, sem_task, em_task)
     return [
-        write(plan, comments, [(em_traj, [run[n] for run in kept]) for em_traj, kept in swept])
+        write(plan, comments, [(em[n], {j: run[n] for j, run in kept.items()}) for em, kept in swept])
         for n, (_, write) in enumerate(protocols)
     ]
 
 
 def _likelihood_protocol(data: DataSet):
-    def payload(i, j, em_traj, sem_traj):
-        return [-log_likelihood(m, data) for m in sem_traj]
+    def payload(traj):
+        # read where the trajectory ran: the E-step of round t + 1 left each
+        # model's log-likelihood in its memo, so only the last needs one more
+        return [-log_likelihood(m, data) for m in traj]
 
     def write(plan, comments, swept):
         rows = []
-        for i, (em_traj, nlls) in enumerate(swept):
-            for t, m in enumerate(em_traj, start=1):
-                rows.append((i, "em", t, "value", -log_likelihood(m, data)))
+        for i, (em_nlls, nlls) in enumerate(swept):
+            for t, nll in enumerate(em_nlls, start=1):
+                rows.append((i, "em", t, "value", nll))
             if not nlls:
                 continue
-            arr = np.array(nlls)  # (runs, rounds)
+            arr = np.array(list(nlls.values()))  # (runs, rounds)
             for t in range(plan.rounds):
                 col = arr[:, t]
                 stats = {
@@ -240,24 +300,33 @@ def diff_normalizers(data: DataSet) -> tuple[float, float]:
     return float(np.sqrt(data.d)) * delta, float(data.d) * delta**2
 
 
+def _packed_params(traj) -> np.ndarray:
+    """A trajectory's parameters as one R x K x (1 + D + D^2) array: per
+    round and component the weight, the mean and the row-major covariance."""
+    return np.stack([
+        np.concatenate([m.weights[:, None], m.means, m.covariances.reshape(m.k, -1)], axis=1)
+        for m in traj
+    ])
+
+
 def _diff_protocol(data: DataSet):
     gamma_mu, gamma_sigma = diff_normalizers(data)
     d = data.d
 
-    def payload(i, j, em_traj, sem_traj):
+    def run_rows(i, j, em_params, sem_params):
         rows = []
-        for t, (em_m, sem_m) in enumerate(zip(em_traj, sem_traj), start=1):
-            for k in range(em_m.k):
-                w_diff = float(em_m.weights[k] - sem_m.weights[k])
+        for t, (em_t, sem_t) in enumerate(zip(em_params, sem_params), start=1):
+            for k, (em_k, sem_k) in enumerate(zip(em_t, sem_t)):
+                w_diff = float(em_k[0] - sem_k[0])
                 rows.append((i, j, t, k, "weight", None, None, w_diff, w_diff))
-                nu = em_m.means[k] - sem_m.means[k]
+                nu = em_k[1 : d + 1] - sem_k[1 : d + 1]
                 for a in range(d):
                     rows.append(
                         (i, j, t, k, "mean", a, None, float(nu[a]), float(nu[a] / gamma_mu))
                     )
                 e = float(np.sqrt((nu**2).sum()))
                 rows.append((i, j, t, k, "mean_euclid", None, None, e, e / gamma_mu))
-                cd = em_m.covariances[k] - sem_m.covariances[k]
+                cd = (em_k[d + 1 :] - sem_k[d + 1 :]).reshape(d, d)
                 for a in range(d):
                     for b in range(d):
                         rows.append(
@@ -276,10 +345,15 @@ def _diff_protocol(data: DataSet):
             "init_id", "run_id", "round", "component", "param",
             "index_i", "index_j", "raw_diff", "normalized_diff",
         ]
-        rows = [row for _, kept in swept for run in kept for row in run]
+        rows = [
+            row
+            for i, (em_params, kept) in enumerate(swept)
+            for j, sem_params in kept.items()
+            for row in run_rows(i, j, em_params, sem_params)
+        ]
         return _write_trace(Path(plan.out_dir) / "diff_trace.csv", titles + comments, header, rows)
 
-    return payload, write
+    return _packed_params, write
 
 
 def run_likelihood_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> Path:
@@ -336,7 +410,7 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
         data = prepare_data(plan)
     delta = effective_delta(plan, data.d)
 
-    def bound_run(i, j, model0, _):
+    def bound_run(i, j, model0):
         cfg = _sem_cfg(plan, i, j)
         model = model0
         rows = []
@@ -357,8 +431,8 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
             model = sem_m_step(partial, data, model, cfg, substream(cfg.rng_seed, t, 1))
         return rows
 
-    comments, swept = _sweep(plan, data, lambda i, model0: None, bound_run)
-    rows = [row for _, kept in swept for run in kept for row in run]
+    comments, swept = _sweep(plan, data, bound_run)
+    rows = [row for _, kept in swept for run in kept.values() for row in run]
     out = Path(plan.out_dir) / "bound_trace.csv"
     titles = ["semgmm bound trace", f"per-check delta {FLOAT_FMT % delta}"]
     header = [

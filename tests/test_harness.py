@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 import semgmm.bounds
+import semgmm.cli
 import semgmm.em
 import semgmm.estep
 import semgmm.harness
@@ -286,19 +289,48 @@ def run_traces(out, experiment, **overrides):
     return [read_trace(p) for p in paths], [p.read_bytes() for p in paths]
 
 
-def force_exclusion(monkeypatch, plan, i, j):
-    """Make every SEM M-step of run j from init i raise DegeneracyError."""
+def force_exclusion(monkeypatch, plan, i, j, error=None):
+    """Make every SEM M-step of run j from init i raise error (by default
+    DegeneracyError(0, "forced"))."""
     # the run's stream, (master, 2, i, j) in the harness's seeding layout
     target = derive_seed(plan.master_seed, 2, i, j)
     real = semgmm.sem.sem_m_step
+    error = DegeneracyError(0, "forced") if error is None else error
 
     def m_step(partial, data, prev, cfg, rng):
         if cfg.rng_seed == target:
-            raise DegeneracyError(0, "forced")
+            raise error
         return real(partial, data, prev, cfg, rng)
 
     for module in (semgmm.sem, semgmm.harness):
         monkeypatch.setattr(module, "sem_m_step", m_step)
+
+
+class CallLog:
+    """Calls recorded as lines "<label> <pid>" in a file, each appended with
+    one O_APPEND write, so calls made in forked worker processes are
+    counted with the caller's (an in-process list never sees them)."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def record(self, label):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{label} {os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
+
+    def entries(self):
+        if not self.path.exists():
+            return []
+        return [line.split() for line in self.path.read_text().splitlines()]
+
+    def count(self, label):
+        return sum(1 for name, _ in self.entries() if name == label)
+
+    def pids(self):
+        return {int(pid) for _, pid in self.entries()}
 
 
 EXPERIMENTS = {
@@ -334,10 +366,10 @@ class TestSweep:
         (tmp_path / "b").mkdir()
         plan = tiny_plan(tmp_path / "a", n_jobs=2)
         singles = [run_likelihood_experiment(plan), run_diff_experiment(plan)]
-        calls = []  # list.append is atomic, so worker threads may share it
+        calls = CallLog(tmp_path / "calls.log")
         for module, name in ((semgmm.em, "em_round"), (semgmm.sem, "sem_round")):
             def counted(*args, real=getattr(module, name), name=name):
-                calls.append(name)
+                calls.record(name)
                 return real(*args)
 
             monkeypatch.setattr(module, name, counted)
@@ -345,6 +377,7 @@ class TestSweep:
         assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in singles]
         assert calls.count("em_round") == plan.n_inits * plan.rounds
         assert calls.count("sem_round") == plan.n_inits * plan.runs_per_init * plan.rounds
+        assert os.getpid() not in calls.pids()
 
     @pytest.mark.parametrize("experiment", [run_likelihood_experiment, run_compare_experiment])
     def test_likelihood_from_the_next_estep(self, tmp_path, monkeypatch, experiment):
@@ -352,18 +385,109 @@ class TestSweep:
         # negative log-likelihood comes from the E-step that ran on it, so
         # only the last model of a trajectory needs one more
         plan = tiny_plan(tmp_path, n_jobs=2)
-        calls = []
+        calls = CallLog(tmp_path / "calls.log")
         real = semgmm.model.component_log_joint
 
         def counted(*args):
-            calls.append(1)
+            calls.record("log_joint")
             return real(*args)
 
         for module in (semgmm.model, semgmm.estep):
             monkeypatch.setattr(module, "component_log_joint", counted)
         experiment(plan)
         trajectories = plan.n_inits + plan.n_inits * plan.runs_per_init
-        assert len(calls) == trajectories * (plan.rounds + 1)
+        assert calls.count("log_joint") == trajectories * (plan.rounds + 1)
+
+
+def force_em_error(monkeypatch, plan, i, error):
+    """Make every round of init i's EM trajectory raise error."""
+    # the EM repair stream, (master, 3, i) in the harness's seeding layout
+    target = derive_seed(plan.master_seed, 3, i)
+    real = semgmm.em.em_round
+
+    def em_round(model, data, cfg, t):
+        if cfg.rng_seed == target:
+            raise error
+        return real(model, data, cfg, t)
+
+    monkeypatch.setattr(semgmm.em, "em_round", em_round)
+
+
+def no_children():
+    return multiprocessing.active_children() == []
+
+
+class TestProcessBackend:
+    def test_tasks_run_in_worker_processes(self):
+        caller = os.getpid()
+        in_process = semgmm.harness._map_runs(lambda key: os.getpid(), range(4), 1)
+        assert set(in_process.values()) == {caller}
+        pids = set(semgmm.harness._map_runs(lambda key: os.getpid(), range(4), 2).values())
+        assert caller not in pids and 1 <= len(pids) <= 2
+        assert no_children()
+
+    def test_map_runs_error_keeps_its_type(self):
+        def task(key):
+            if key == 3:
+                raise KeyError("task 3")
+            return key
+
+        with pytest.raises(KeyError, match="task 3"):
+            semgmm.harness._map_runs(task, range(6), 2)
+        assert no_children()
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_no_process_left(self, tmp_path, name):
+        EXPERIMENTS[name](tiny_plan(tmp_path, n_jobs=2))
+        assert no_children()
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_worker_error_reaches_caller(self, tmp_path, monkeypatch, name):
+        plan = tiny_plan(tmp_path, n_jobs=2)
+        force_exclusion(monkeypatch, plan, 1, 0, FloatingPointError("forced in a run"))
+        with pytest.raises(FloatingPointError, match="forced in a run"):
+            EXPERIMENTS[name](plan)
+        assert no_children()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("name", ["likelihood", "diff", "compare"])
+    def test_em_degeneracy_aborts(self, tmp_path, monkeypatch, name, n_jobs):
+        plan = tiny_plan(tmp_path, n_jobs=n_jobs)
+        force_em_error(monkeypatch, plan, 1, DegeneracyError(0, "forced in EM"))
+        with pytest.raises(DegeneracyError, match="forced in EM"):
+            EXPERIMENTS[name](plan)
+        assert no_children()
+        # no trace is written, so the EM failure never becomes an exclusion
+        assert list(tmp_path.iterdir()) == []
+
+    def test_d10_traces_identical_across_n_jobs(self, tmp_path):
+        # at N 5e4 OpenBLAS splits the length-N reductions of D10 across its
+        # threads, so workers that ran with other BLAS thread settings than
+        # the caller would write other bits
+        traces = []
+        for n_jobs in (1, 2):
+            plan = ExperimentPlan(
+                dataset=GenSpec(d=10, k=10, n=50_000, rng_seed=3), k=10, rounds=3,
+                n_inits=1, runs_per_init=2, master_seed=3,
+                out_dir=str(tmp_path / f"jobs{n_jobs}"), n_jobs=n_jobs,
+            )
+            data = prepare_data(plan)
+            paths = [*run_compare_experiment(plan, data), run_bound_experiment(plan, data)]
+            traces.append([p.read_bytes() for p in paths])
+        assert traces[0] == traces[1]
+
+    def test_n_jobs_needs_fork(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        tiny_plan(tmp_path, n_jobs=1)
+        with pytest.raises(ValueError, match="'fork' process start method"):
+            tiny_plan(tmp_path, n_jobs=2)
+        with pytest.raises(SystemExit) as exc:
+            semgmm.cli.main(["compare", "--gen", "2,2,300", "--inits", "1", "--runs", "2",
+                             "--rounds", "2", "--jobs", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "semgmm: error: n_jobs > 1 needs the 'fork'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
