@@ -19,7 +19,7 @@ from .harness import (
 from .em import em_fit
 from .ingest import load_csv, load_model, normalize, save_csv, save_model
 from .model import DataError, DataSet, DegeneracyError, InvalidModelError
-from .rng import substream
+from .rng import check_seed, substream
 from .sem import SemConfig, check_rounds, sem_fit
 from .synth import GenSpec, check_k, generate_mixture, initialize, sample_dataset
 
@@ -156,6 +156,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_init(args) -> int:
     _checked(check_k, k=args.k)
+    _checked(check_seed, seed=args.seed)
     data = load_csv(args.data)
     model = initialize(data, args.k, substream(args.seed, 1, 0))
     out = args.out if args.out.suffix else args.out / "init_model.txt"
@@ -176,9 +177,10 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_fit(args, fit) -> int:
     _checked(check_rounds, rounds=args.rounds)
+    cfg = _checked(SemConfig, rng_seed=args.seed)
     data = load_csv(args.data)
     model0 = load_model(args.model)
-    traj = fit(model0, data, args.rounds, SemConfig(rng_seed=args.seed))
+    traj = fit(model0, data, args.rounds, cfg)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     save_model(traj[-1] if traj else model0, out / "final_model.txt")

@@ -36,7 +36,7 @@ from .em import em_fit, em_round
 from .estep import responsibilities
 from .ingest import load_csv
 from .model import DataSet, DegeneracyError, MixtureModel, log_likelihood
-from .rng import derive_seed, substream
+from .rng import check_seed, derive_seed, substream
 from .sem import SemConfig, hard_params, sample_assignment, sem_fit, sem_m_step, sem_round
 from .synth import GenSpec, check_k, generate_mixture, initialize, sample_dataset
 
@@ -73,6 +73,7 @@ class ExperimentPlan:
             raise ValueError("delta must be in (0, 1)")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
+        check_seed(self.master_seed)
         if self.n_jobs > 1:
             import multiprocessing  # see _map_runs
 

@@ -16,7 +16,7 @@ from .model import (
     column_blocks,
     group_order,
 )
-from .rng import substream
+from .rng import check_seed, substream
 
 RESAMPLE_POLICY = "resample_mean_fresh_covariance"
 BLEND_POLICY = "blend_with_previous"
@@ -42,6 +42,7 @@ class SemConfig:
             raise ValueError("zeta must be >= 1")
         if self.repair_policy not in POLICIES:
             raise ValueError(f"unknown repair policy {self.repair_policy!r}")
+        check_seed(self.rng_seed)
 
     def effective_zeta(self, d: int) -> int:
         return d + 1 if self.zeta is None else self.zeta
@@ -91,12 +92,13 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
     rows with positive sums, such as estep.posterior_weights: no row needs to
     be normalized.  Inverse CDF per row: the label is the first k whose
     running sum exceeds u * rowsum.  A draw that rounding sends to the row
-    total falls on the row's last positive entry.  The N uniforms are drawn
-    in one call; the running sums are then accumulated over column blocks
-    of the K x N transpose (the E-step's own layout), component by
-    component, adding in the same order as a row-wise cumulative sum, and
-    each block's comparisons are counted into small-integer labels and into
-    the label counts, so the Assignment takes no pass of its own.
+    total falls on the row's last positive entry; a row with no positive
+    entry is a DataError.  The N uniforms are drawn in one call; the running
+    sums are then accumulated over column blocks of the K x N transpose (the
+    E-step's own layout), component by component, adding in the same order
+    as a row-wise cumulative sum, and each block's comparisons are counted
+    into small-integer labels and into the label counts, so the Assignment
+    takes no pass of its own.
     """
     q = weights.probs if isinstance(weights, ResponsibilityMatrix) else weights
     n, k = q.shape
@@ -130,7 +132,12 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
     if above[-1]:
         # the above[-1] draws that rounding sent past the row total
         past = np.flatnonzero(labels == k)
-        last = k - 1 - np.argmax(q[past, ::-1] > 0, axis=1)
+        positive = q[past, ::-1] > 0
+        # a row with no positive entry sums to 0, so every draw lands here
+        empty = past[~positive.any(axis=1)]
+        if empty.size:
+            raise DataError(f"row {empty[0]} of the weights has no positive entry")
+        last = k - 1 - np.argmax(positive, axis=1)
         labels[past] = last
         counts += np.bincount(last, minlength=k)
     return Assignment.from_counts(labels, counts)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Assignment, DataError, DataSet, MixtureModel, group_order
+from .rng import check_seed
 
 
 class GenerationError(RuntimeError):
@@ -40,6 +41,7 @@ class GenSpec:
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if not 0 < self.overlap < math.inf:
             raise ValueError("overlap must be positive and finite")
+        check_seed(self.rng_seed)
 
 
 def _random_covariance(d: int, rng: np.random.Generator) -> np.ndarray:

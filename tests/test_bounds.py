@@ -390,13 +390,20 @@ class TestMonteCarloViolationRate:
         monte_carlo_violation_rate(resp, data, 0.05, 1000, substream(88), which)
         assert len(rho_calls) == calls
 
-    @pytest.mark.parametrize("which", ["weights", "means", "covariances"])
-    def test_rates_match_per_trial_oracle(self, which):
+    @pytest.mark.parametrize("which, offset, scale", [
+        pytest.param(which, offset, scale, id=which + label)
+        for offset, scale, label in [(0.0, 1.0, ""), (1e6, 1.0, "-offset-1e6"),
+                                     (0.0, 1e-6, "-scale-1e-6")]
+        for which in ["weights", "means", "covariances"]
+    ])
+    def test_rates_match_per_trial_oracle(self, which, offset, scale):
         # a loose budget, so that weight and mean bounds break on some trials;
         # the covariance bounds hold throughout, but their conditioning on
-        # the mean bounds fails on some
+        # the mean bounds fails on some.  The responsibilities are those of
+        # the plain data, so the moved data sets pose the same problem
         _, data, _, model0 = make_instance(89, d=3, k=3, n=600)
         resp = responsibilities(model0, data)
+        data = DataSet(data.points * scale + offset)
         rep = monte_carlo_violation_rate(resp, data, 0.9, 1000, substream(90), which)
         rate, cond = per_trial_violation_rates(
             assemble_bounds(resp, data, 0.9), 1000, substream(90), which

@@ -607,6 +607,27 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--d", 2, "--k", 2, "--n", 100, "--seed", -1),
+        ("init", "--data", "{csv}", "--k", 2, "--seed", -1),
+        ("fit-em", "--data", "{csv}", "--model", "{model}", "--rounds", 2, "--seed", -1),
+        ("fit-sem", "--data", "{csv}", "--model", "{model}", "--rounds", 2, "--seed", -1),
+        ("compare", "--gen", "2,2,200", "--rounds", 2, "--inits", 1, "--runs", 1, "--seed", -3),
+        ("bounds", "--data", "{csv}", "--k", 2, "--rounds", 2, "--inits", 1, "--runs", 1,
+         "--seed", -1),
+        ("speed", "--data", "{csv}", "--k", 2, "--rounds", 2, "--seed", -1),
+    ], ids=["gen", "init", "fit-em", "fit-sem", "compare", "bounds", "speed"])
+    def test_negative_seed_rejected(self, tmp_path, argv):
+        # on valid inputs, so that the seed alone is what the command rejects
+        run_cli("gen", "--d", 2, "--k", 2, "--n", 200, "--seed", 4, "--out", tmp_path)
+        paths = {"csv": tmp_path / "data.csv", "model": tmp_path / "truth_model.txt"}
+        out = tmp_path / "out"
+        res = run_cli(*(str(a).format(**paths) for a in argv), "--out", out)
+        assert res.returncode == 1
+        assert f"semgmm: error: seed must be >= 0, got {argv[-1]}" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_unknown_command_exit_code(self):
         res = run_cli("frobnicate")
         assert res.returncode == 1

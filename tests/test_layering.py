@@ -1,7 +1,8 @@
 """Layering rules: no library module imports another module's private names,
 and none imports scipy, whose separately linked BLAS would start a second
-thread pool competing with numpy's for the cores.  The benchmark's span
-boundaries name functions that exist."""
+thread pool competing with numpy's for the cores.  Only semgmm.rng makes
+random generators, so every draw comes from a keyed substream.  The
+benchmark's span boundaries name functions that exist."""
 import ast
 import importlib
 import importlib.util
@@ -42,6 +43,64 @@ def test_no_scipy_imports():
                 if name == "scipy" or name.startswith("scipy.")
             ]
     assert offenders == []
+
+
+def _numpy_random_uses(tree):
+    """Every use of numpy.random in a module other than as the Generator
+    type: bit generators, default_rng, SeedSequence and the legacy global
+    functions alike."""
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "numpy"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.startswith("numpy.random"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.startswith("numpy.random") or (
+                module == "numpy" and any(a.name == "random" for a in node.names)
+            ):
+                yield f"from {module} import ..."
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "random"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in aliases
+            and node.attr != "Generator"
+        ):
+            yield f"{node.value.value.id}.random.{node.attr}"
+
+
+def test_generators_made_only_in_rng():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "rng.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [f"{path.name}: {use}" for use in _numpy_random_uses(tree)]
+    assert offenders == []
+
+
+def test_generator_check_sees_every_form():
+    # the check above must not pass because it cannot see a use
+    source = """
+import numpy as np
+import numpy.random
+from numpy import random
+from numpy.random import default_rng
+a = np.random.default_rng(0)
+b = np.random.Generator(np.random.PCG64(1))
+c = np.random.normal(size=3)
+def f(rng: np.random.Generator) -> None: ...
+"""
+    assert sorted(_numpy_random_uses(ast.parse(source))) == sorted([
+        "numpy.random", "from numpy import ...", "from numpy.random import ...",
+        "np.random.default_rng", "np.random.PCG64", "np.random.normal",
+    ])
+    rng_source = (SRC / "rng.py").read_text(encoding="utf-8")
+    assert "np.random.PCG64DXSM" in _numpy_random_uses(ast.parse(rng_source))
 
 
 def test_bench_span_boundaries_resolve():

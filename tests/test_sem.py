@@ -151,6 +151,16 @@ class TestSampleUnnormalizedRows:
         np.testing.assert_array_equal(assign.labels, [3, 0, 1])
         np.testing.assert_array_equal(assign.counts, [1, 1, 0, 1, 0])
 
+    @pytest.mark.parametrize("shape, row", [((3, 3), 1), ((3 * block_width(3) + 7, 3), -1)],
+                             ids=["small", "last-of-3-blocks"])
+    def test_zero_weight_row_rejected(self, shape, row):
+        # a row with no positive entry has no label to give; it used to be
+        # given the last one silently
+        rows = substream(61).random(shape)
+        rows[row] = 0.0
+        with pytest.raises(DataError, match=f"row {row % shape[0]} of the weights"):
+            sample_assignment(rows, substream(62))
+
 
 class TestSampledCounts:
     @pytest.mark.parametrize("k", [1, 3, 10])
