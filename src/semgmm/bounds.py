@@ -17,7 +17,7 @@ import numpy as np
 
 from .em import em_m_step, em_means
 from .estep import ResponsibilityMatrix
-from .model import DataSet, MixtureModel, block_width, column_blocks
+from .model import DataSet, MixtureModel, column_blocks
 from .sem import hard_means, hard_params, sample_assignment
 
 E = math.e
@@ -79,37 +79,47 @@ def lambda_cov(rho_kij: float, spread_i: float, spread_j: float, delta: float) -
     return _deviation_lambda(rho_kij, spread_i * spread_j, delta)
 
 
-def compute_tau(
-    resp: ResponsibilityMatrix, data: DataSet, em_means: np.ndarray
-) -> np.ndarray:
-    """K x D matrix tau[k, d] = sqrt(sum_n p_nk (1-p_nk) (x_n - mu_k)_d^2).
-
-    Summed over column blocks: per block, q = p (1-p) fills one K x B
-    temporary, and each component's centered coordinate rows are squared
-    in place in one D x B temporary and reduced with a matrix-vector
-    product against its row of q.
-    """
+def _centred_blocks(resp: ResponsibilityMatrix, data: DataSet, centres: np.ndarray):
+    """The one blocked centring pass behind tau and rho: per column block of
+    the D x N coordinate rows (column_blocks for the wider of the D x B and
+    K x B temporaries) and per component k, yields (k, xc, q, spare), with xc
+    the block's columns centred on centres[k], q the block's row of
+    p_k (1 - p_k) and spare a second D x B array for the caller's products.
+    xc and spare are reused buffers: overwrite them, but do not keep them."""
     pt = resp.probs.T
     k_total, n = pt.shape
     d = data.d
     xt = data.points.T
-    centres = np.asarray(em_means)[:, :, None]
-    acc = np.zeros((k_total, d))
+    centres = np.asarray(centres)[:, :, None]
     blocks = column_blocks(n, max(d, k_total))
     q_buf = np.empty(k_total * blocks[0].stop)
-    xc2_buf = np.empty(d * blocks[0].stop)
+    xc_buf = np.empty((2, d * blocks[0].stop))
     for cols in blocks:
         width = cols.stop - cols.start
         q = q_buf[: k_total * width].reshape(k_total, width)
-        xc2 = xc2_buf[: d * width].reshape(d, width)
+        xc, spare = xc_buf[:, : d * width].reshape(2, d, width)
         p = pt[:, cols]
         np.subtract(1.0, p, out=q)
         q *= p
         x = xt[:, cols]
         for k in range(k_total):
-            np.subtract(x, centres[k], out=xc2)
-            xc2 *= xc2
-            acc[k] += xc2 @ q[k]
+            np.subtract(x, centres[k], out=xc)
+            yield k, xc, q[k], spare
+
+
+def compute_tau(
+    resp: ResponsibilityMatrix, data: DataSet, em_means: np.ndarray
+) -> np.ndarray:
+    """K x D matrix tau[k, d] = sqrt(sum_n p_nk (1-p_nk) (x_n - mu_k)_d^2).
+
+    Summed over the blocks of _centred_blocks: each centred block is
+    squared in place and reduced with a matrix-vector product against its
+    row of q = p (1-p).
+    """
+    acc = np.zeros(np.shape(em_means))
+    for k, xc, q, _ in _centred_blocks(resp, data, em_means):
+        xc *= xc
+        acc[k] += xc @ q
     return np.sqrt(acc)
 
 
@@ -118,47 +128,29 @@ def compute_rho(
     data: DataSet,
     em_means: np.ndarray,
     em_covs: np.ndarray,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """K x D x D tensor rho[k, i, j] = sqrt(sum_n p_nk (1-p_nk)
     ((x_n - mu_k)(x_n - mu_k)^T - Sigma_k)_{ij}^2).
 
     With xc = x - mu_k and q = p (1-p), the sum expands to
     (xc^2)^T (q xc^2) - 2 Sigma_k o xc^T (q xc) + Sigma_k^2 sum q, two
-    D x D matrix products accumulated over blocks of `chunk` points (column
-    blocks of the D x N coordinate rows; by default the blocked kernels'
-    width model.block_width(D)), so the N outer products are never formed
-    and the temporaries stay at a few D x chunk arrays.  The expansion
-    subtracts; rounding below zero is clamped to 0.
+    D x D matrix products and one sum of q per block of _centred_blocks,
+    so the N outer products are never formed.  The expansion subtracts;
+    rounding below zero is clamped to 0.
     """
-    p = resp.probs
-    n, k_total = p.shape
-    d = data.d
-    if chunk is None:
-        chunk = block_width(d)
-    xt = data.points.T
-    centres = np.asarray(em_means)[:, :, None]
-    xc_buf = np.empty(d * min(chunk, n))
-    qxc_buf = np.empty_like(xc_buf)
-    out = np.empty((k_total, d, d))
-    for k in range(k_total):
-        q = p[:, k] * (1.0 - p[:, k])
-        fourth = np.zeros((d, d))
-        second = np.zeros((d, d))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            xc = xc_buf[: d * (stop - start)].reshape(d, -1)
-            qxc = qxc_buf[: xc.size].reshape(xc.shape)
-            np.subtract(xt[:, start:stop], centres[k], out=xc)
-            np.multiply(xc, q[start:stop], out=qxc)
-            second += xc @ qxc.T
-            qxc *= xc
-            xc *= xc
-            fourth += xc @ qxc.T
-        cov = em_covs[k]
-        acc = fourth - 2.0 * cov * second + cov * cov * q.sum()
-        out[k] = np.sqrt(np.maximum(acc, 0.0))
-    return out
+    k_total, d = np.shape(em_means)
+    fourth = np.zeros((k_total, d, d))
+    second = np.zeros((k_total, d, d))
+    q_sum = np.zeros(k_total)
+    for k, xc, q, qxc in _centred_blocks(resp, data, em_means):
+        np.multiply(xc, q, out=qxc)
+        second[k] += xc @ qxc.T
+        qxc *= xc
+        xc *= xc
+        fourth[k] += xc @ qxc.T
+        q_sum[k] += q.sum()
+    acc = fourth - 2.0 * em_covs * second + em_covs * em_covs * q_sum[:, None, None]
+    return np.sqrt(np.maximum(acc, 0.0))
 
 
 @dataclass(frozen=True)

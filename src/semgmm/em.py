@@ -60,12 +60,22 @@ def _live(resp: ResponsibilityMatrix, data: DataSet) -> np.ndarray:
     return resp.column_sums >= DEGENERATE_FRACTION * data.n
 
 
+def _weighted_means(resp: ResponsibilityMatrix, data: DataSet, live: np.ndarray) -> np.ndarray:
+    """K x D responsibility-weighted means, NaN where not live, from one
+    D x N by N x K product (a matrix-vector product over N per component
+    rounds differently at different BLAS thread counts; this one does not)."""
+    sums = (data.points.T @ resp.probs).T
+    means = np.full(sums.shape, np.nan)
+    means[live] = sums[live] / resp.column_sums[live, None]
+    return means
+
+
 def em_means(resp: ResponsibilityMatrix, data: DataSet) -> np.ndarray:
     """K x D means of the expectation-weighted update, without its
     covariances.
 
     Bit for bit the means of em_m_step(resp, data): one-hot responsibilities
-    take hard_means, soft ones the same product per component.  A
+    take hard_means, soft ones the same _weighted_means.  A
     component with (near) zero responsibility mass raises as em_m_step
     does; a covariance that em_m_step could not repair does not.
     """
@@ -75,9 +85,7 @@ def em_means(resp: ResponsibilityMatrix, data: DataSet) -> np.ndarray:
     p = resp.probs
     if _is_hard(p):
         return hard_means(Assignment(p.argmax(axis=1), p.shape[1]), data)
-    xt = data.points.T
-    r = resp.column_sums
-    return np.stack([xt @ p[:, k] / r[k] for k in range(p.shape[1])])
+    return _weighted_means(resp, data, live)
 
 
 def _em_params(
@@ -99,18 +107,14 @@ def _em_params(
         means, covs = hard.means, hard.covariances
     else:
         # contiguous coordinate rows of length N against contiguous
-        # responsibility columns; each component's mean is taken right
-        # before its covariance pass (the means-first order of em_means
-        # made this update about twice as slow on a 2-core VM shortly
-        # after it had been idle)
+        # responsibility columns
+        means = _weighted_means(resp, data, live)
         xt = data.points.T
-        means = np.full((k_total, data.d), np.nan)
         covs = np.full((k_total, data.d, data.d), np.nan)
         xc = np.empty_like(xt)
         wxc = np.empty_like(xt)
         for k in np.flatnonzero(live):
             pk = p[:, k]
-            means[k] = xt @ pk / r[k]
             np.subtract(xt, means[k][:, None], out=xc)
             np.multiply(xc, pk, out=wxc)
             cov = wxc @ xc.T / r[k]

@@ -92,13 +92,15 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
     rows with positive sums, such as estep.posterior_weights: no row needs to
     be normalized.  Inverse CDF per row: the label is the first k whose
     running sum exceeds u * rowsum.  A draw that rounding sends to the row
-    total falls on the row's last positive entry; a row with no positive
-    entry is a DataError.  The N uniforms are drawn in one call; the running
-    sums are then accumulated over column blocks of the K x N transpose (the
-    E-step's own layout), component by component, adding in the same order
-    as a row-wise cumulative sum, and each block's comparisons are counted
-    into small-integer labels and into the label counts, so the Assignment
-    takes no pass of its own.
+    total falls on the row's last positive entry.  A row whose total is not
+    finite (a NaN or infinite entry) or not positive is a DataError naming
+    the row; a negative entry in a row with a positive total is a
+    precondition, not checked.  The N uniforms are drawn in one call; the
+    running sums are then accumulated over column blocks of the K x N
+    transpose (the E-step's own layout), component by component, adding in
+    the same order as a row-wise cumulative sum, and each block's
+    comparisons are counted into small-integer labels and into the label
+    counts, so the Assignment takes no pass of its own.
     """
     q = weights.probs if isinstance(weights, ResponsibilityMatrix) else weights
     n, k = q.shape
@@ -112,32 +114,39 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
     blocks = column_blocks(n, k)
     cum_buf = np.empty(k * blocks[0].stop)
     below_buf = np.empty(cum_buf.size, dtype=bool)
-    for cols in blocks:
-        # running sums down the block's K rows, adding as a row-wise
-        # cumulative sum does
-        cum = cum_buf[: k * (cols.stop - cols.start)].reshape(k, -1)
-        cum[0] = qt[0, cols]
-        for j in range(1, k):
-            np.add(cum[j - 1], qt[j, cols], out=cum[j])
-        ub = u[cols]
-        ub *= cum[-1]
-        below = below_buf[: cum.size].reshape(cum.shape)
-        np.less_equal(cum, ub, out=below)
-        np.add.reduce(below.view(np.uint8), axis=0, dtype=labels.dtype, out=labels[cols])
-        # one flat count per row: count_nonzero along an axis sums through
-        # a cast and took about 3 times as long at K = 10
-        for j in range(k):
-            above[j] += np.count_nonzero(below[j])
+    # a NaN or infinite row turns its running sums and u * rowsum into NaN or
+    # infinity, which the check after the loop reports as a DataError
+    with np.errstate(invalid="ignore", over="ignore"):
+        for cols in blocks:
+            # running sums down the block's K rows, adding as a row-wise
+            # cumulative sum does
+            cum = cum_buf[: k * (cols.stop - cols.start)].reshape(k, -1)
+            cum[0] = qt[0, cols]
+            for j in range(1, k):
+                np.add(cum[j - 1], qt[j, cols], out=cum[j])
+            ub = u[cols]
+            ub *= cum[-1]
+            below = below_buf[: cum.size].reshape(cum.shape)
+            np.less_equal(cum, ub, out=below)
+            np.add.reduce(below.view(np.uint8), axis=0, dtype=labels.dtype, out=labels[cols])
+            # one flat count per row: count_nonzero along an axis sums through
+            # a cast and took about 3 times as long at K = 10
+            for j in range(k):
+                above[j] += np.count_nonzero(below[j])
+    # u now holds u * rowsum, which is finite only for a finite row total
+    finite = np.isfinite(u)
+    if not finite.all():
+        raise DataError(f"row {np.argmin(finite)} of the weights has no finite total")
     counts = np.concatenate(([n], above[:-1])) - above
     if above[-1]:
-        # the above[-1] draws that rounding sent past the row total
+        # the above[-1] draws past the row total: rounding sends some there,
+        # where u * rowsum is at least the positive total, and every draw
+        # against a total that is not positive lands there, with u * rowsum <= 0
         past = np.flatnonzero(labels == k)
-        positive = q[past, ::-1] > 0
-        # a row with no positive entry sums to 0, so every draw lands here
-        empty = past[~positive.any(axis=1)]
+        empty = past[u[past] <= 0.0]
         if empty.size:
-            raise DataError(f"row {empty[0]} of the weights has no positive entry")
-        last = k - 1 - np.argmax(positive, axis=1)
+            raise DataError(f"row {empty[0]} of the weights has no positive total")
+        last = k - 1 - np.argmax(q[past, ::-1] > 0, axis=1)
         labels[past] = last
         counts += np.bincount(last, minlength=k)
     return Assignment.from_counts(labels, counts)

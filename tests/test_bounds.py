@@ -166,14 +166,6 @@ class TestTauRho:
                 rel=1e-11,
             )
 
-    def test_rho_chunking_invariant(self):
-        _, data, _, model0 = make_instance(72, d=2, k=2, n=600)
-        resp = responsibilities(model0, data)
-        em = em_m_step(resp, data)
-        big = compute_rho(resp, data, em.means, em.covariances, chunk=10_000)
-        small = compute_rho(resp, data, em.means, em.covariances, chunk=7)
-        np.testing.assert_allclose(big, small, rtol=1e-10)
-
     @pytest.mark.parametrize("d", [2, 3, 10])
     @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6)])
     def test_match_array_oracles(self, d, offset, scale):

@@ -279,6 +279,33 @@ class TestDeterminism:
         f2 = run_diff_experiment(tiny_plan(tmp_path / "b"))
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_d10_traces_identical_across_blas_threads(self, tmp_path):
+        # OpenBLAS splits a matrix-vector product over N differently at 1
+        # and 2 threads, so a length-N GEMV anywhere on the EM path would
+        # write other bits at the other setting
+        script = (
+            "import sys\n"
+            "from semgmm import ExperimentPlan, GenSpec, run_bound_experiment,"
+            " run_compare_experiment\n"
+            "from semgmm.harness import prepare_data\n"
+            "plan = ExperimentPlan(dataset=GenSpec(d=10, k=10, n=50_000, rng_seed=7), k=10,"
+            " rounds=6, n_inits=1, runs_per_init=2, master_seed=7, out_dir=sys.argv[1])\n"
+            "data = prepare_data(plan)\n"
+            "run_compare_experiment(plan, data)\n"
+            "run_bound_experiment(plan, data)\n"
+        )
+        src = os.path.dirname(os.path.dirname(semgmm.harness.__file__))
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+            traces.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(traces[0]) == ["bound_trace.csv", "diff_trace.csv", "likelihood_trace.csv"]
+        assert traces[0] == traces[1]
+
 
 def run_traces(out, experiment, **overrides):
     """Run one experiment on tiny_plan in a fresh directory; returns the

@@ -39,6 +39,7 @@ from semgmm.sem import hard_params, sem_round
 
 from conftest import make_instance
 from oracles import (
+    chunked_rho,
     full_log_joint,
     full_tau,
     gaussian_log_density,
@@ -180,13 +181,15 @@ class TestBlockedKernels:
             rtol=1e-13, atol=0,
         )
 
-
-@DIMS
-def test_rho_default_block_is_the_rule(d):
-    data, model = blocked_instance(99, d, "3B+7")
-    resp = responsibilities(model, data)
-    args = (resp, data, model.means, model.covariances)
-    assert np.array_equal(compute_rho(*args), compute_rho(*args, chunk=block_width(d)))
+    @SHIFTS
+    def test_rho(self, d, edge, offset, scale):
+        data, model = blocked_instance(99, d, edge, offset, scale)
+        resp = responsibilities(model, data)
+        np.testing.assert_allclose(
+            compute_rho(resp, data, model.means, model.covariances),
+            chunked_rho(resp.probs, data.points, model.means, model.covariances),
+            rtol=1e-10, atol=0,
+        )
 
 
 def _sampled(tmp_path):

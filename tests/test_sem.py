@@ -111,6 +111,13 @@ class _MaxDraw:
         return np.full(n, 1.0 - 2.0**-53)
 
 
+class _ZeroDraw:
+    """Generator stub whose every uniform draw is 0."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
 class TestSampleUnnormalizedRows:
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_scaled_rows_give_marginals(self, scale):
@@ -160,6 +167,38 @@ class TestSampleUnnormalizedRows:
         rows[row] = 0.0
         with pytest.raises(DataError, match=f"row {row % shape[0]} of the weights"):
             sample_assignment(rows, substream(62))
+
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan, 1.0], "no finite total"),
+        ([np.inf, 1.0], "no finite total"),
+        ([-np.inf, 1.0], "no finite total"),
+        ([np.inf, -np.inf], "no finite total"),
+        ([-1.0, 1.0], "no positive total"),
+        ([-1.0, 0.5], "no positive total"),
+        ([-0.0, 0.0], "no positive total"),
+    ], ids=["nan", "inf", "-inf", "inf-inf", "zero-total", "negative-total", "signed-zeros"])
+    @pytest.mark.parametrize("row", [0, 3, -1])
+    def test_malformed_row_rejected(self, bad, message, row):
+        rows = substream(63).random((3 * block_width(2) + 7, 2))
+        rows[row] = bad
+        # every draw, including 0 and the largest below 1, meets the check
+        for rng in (substream(63, 1), _MaxDraw(), _ZeroDraw()):
+            with pytest.raises(DataError, match=f"row {row % len(rows)} of the weights has {message}"):
+                sample_assignment(rows, rng)
+
+    def test_malformed_rows_named_in_turn(self):
+        # weights that used to be labelled [0 1 1 1] silently
+        rows = np.array([[np.nan, 1.0], [0.5, 0.5], [np.inf, 1.0], [-1.0, 1.0]])
+        for row, message in [(0, "finite"), (2, "finite"), (3, "positive")]:
+            with pytest.raises(DataError, match=f"row {row} of the weights has no {message} total"):
+                sample_assignment(rows, substream(63))
+            rows[row] = 0.5
+        assert sample_assignment(rows, substream(63)).k == 2
+
+    def test_negative_entry_under_a_positive_total_is_a_precondition(self):
+        # not checked, to keep the common path free of a per-entry pass
+        rows = np.array([[-1.0, 2.0], [0.5, 0.5]])
+        assert sample_assignment(rows, _MaxDraw()).labels[0] == 1
 
 
 class TestSampledCounts:
