@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semgmm.bounds
+import semgmm.model
 from semgmm import (
     DataSet,
     DegeneracyError,
@@ -21,6 +22,7 @@ from semgmm.bounds import (
     lambda_weight,
 )
 from semgmm.estep import from_probs
+from semgmm.model import column_blocks
 from semgmm.rng import substream
 
 from conftest import make_instance
@@ -165,6 +167,21 @@ class TestTauRho:
                 ),
                 rel=1e-11,
             )
+
+    def test_rho_chunking_invariant(self, monkeypatch):
+        _, data, _, model0 = make_instance(72, d=2, k=2, n=600)
+        resp = responsibilities(model0, data)
+        em = em_m_step(resp, data)
+
+        def rho_at_width(width):
+            # block_width(2) is _BLOCK_BYTES // 16 columns
+            monkeypatch.setattr(semgmm.model, "_BLOCK_BYTES", 16 * width)
+            assert len(column_blocks(600, 2)) == -(-600 // width)
+            return compute_rho(resp, data, em.means, em.covariances)
+
+        big = rho_at_width(10_000)
+        small = rho_at_width(7)
+        np.testing.assert_allclose(big, small, rtol=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3, 10])
     @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6)])
