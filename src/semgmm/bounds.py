@@ -29,51 +29,59 @@ class WeightLambda:
 
     `applicable` records whether the concentration hypothesis
     2 e^{-r_k/3} <= delta holds; `usable_downstream` additionally requires
-    value < 1, which the mean and covariance bounds need.
+    value < 1, which the mean and covariance bounds need.  Each field has
+    the shape of r_k: scalars for a scalar r_k, arrays for an array.
     """
 
-    value: float
-    applicable: bool
-    usable_downstream: bool
+    value: float | np.ndarray
+    applicable: bool | np.ndarray
+    usable_downstream: bool | np.ndarray
 
 
-def lambda_weight(r_k: float, delta: float) -> WeightLambda:
-    if r_k <= 0:
+# the hypothesis is evaluated with math.exp, which numpy's exp misses by one
+# ulp on a few percent of inputs
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def lambda_weight(r_k, delta: float) -> WeightLambda:
+    r = np.asarray(r_k, dtype=np.float64)
+    if (r <= 0).any():
         raise ValueError("r_k must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    value = math.sqrt(3.0 * math.log(2.0 / delta) / r_k)
-    applicable = delta >= 2.0 * math.exp(-r_k / 3.0)
-    return WeightLambda(value, applicable, applicable and value < 1.0)
+    value = np.sqrt(3.0 * math.log(2.0 / delta) / r)
+    applicable = delta >= 2.0 * _exp(-r / 3.0)
+    return WeightLambda(value[()], applicable[()], (applicable & (value < 1.0))[()])
 
 
-def _deviation_lambda(sd: float, cap: float, delta: float) -> float:
+def _deviation_lambda(sd, cap, delta: float):
     """Two-case bound factor for a centered sum with std dev `sd` and
-    per-summand cap `cap`.
+    per-summand cap `cap`, elementwise over their broadcast.
 
     sd = 0 means the deviation is identically zero (zero variance, bounded
     summands), so the factor degenerates to 0 rather than dividing by zero.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if sd < 0 or cap < 0:
+    sd = np.asarray(sd, dtype=np.float64)
+    cap = np.asarray(cap, dtype=np.float64)
+    if (sd < 0).any() or (cap < 0).any():
         raise ValueError("sd and cap must be nonnegative")
-    if sd == 0.0:
-        return 0.0
     ln2d = math.log(2.0 / delta)
     wide = math.sqrt(2.0 * E * ln2d)
-    if sd / cap >= wide / E:
-        return wide
-    return (2.0 * cap / sd) * ln2d
+    # sd = 0 or cap = 0 divides by zero in the branch np.where discards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(sd / cap >= wide / E, wide, (2.0 * cap / sd) * ln2d)
+    return np.where(sd == 0.0, 0.0, lam)[()]
 
 
-def lambda_mean(tau_ki: float, spread_i: float, delta: float) -> float:
+def lambda_mean(tau_ki, spread_i, delta: float):
     """Mean-proximity factor: sqrt(2e ln(2/delta)) when tau/spread is large
     enough, else (2 spread / tau) ln(2/delta); 0 when tau is 0."""
     return _deviation_lambda(tau_ki, spread_i, delta)
 
 
-def lambda_cov(rho_kij: float, spread_i: float, spread_j: float, delta: float) -> float:
+def lambda_cov(rho_kij, spread_i, spread_j, delta: float):
     """Covariance-proximity factor; same two-case structure with cap
     spread_i * spread_j; 0 when rho is 0."""
     return _deviation_lambda(rho_kij, spread_i * spread_j, delta)
@@ -198,22 +206,20 @@ class BoundReport:
     @cached_property
     def cov_bound(self) -> np.ndarray:
         """(K, D, D) covariance bounds, NaN where not applicable."""
-        rho = self.rho
-        r = self.resp.column_sums
+        live = self.applicable
         spread = self.data.spread
-        tau, lam_mu = self.tau, self.lambda_mu
-        k_total, d = tau.shape
-        cov_bound = np.full((k_total, d, d), np.nan)
-        for k in np.flatnonzero(self.applicable):
-            shrink = 1.0 - self.lambda_w[k]
-            for i in range(d):
-                for j in range(d):
-                    lam_sig = lambda_cov(rho[k, i, j], spread[i], spread[j], self.delta)
-                    cov_bound[k, i, j] = (
-                        lam_sig / shrink * rho[k, i, j] / r[k]
-                        + lam_mu[k, i] * lam_mu[k, j] / shrink**2
-                        * tau[k, i] * tau[k, j] / r[k] ** 2
-                    )
+        rho = self.rho[live]
+        tau = self.tau[live]
+        lam_mu = self.lambda_mu[live]
+        shrink = 1.0 - self.lambda_w[live, None, None]
+        r = self.resp.column_sums[live, None, None]
+        lam_sig = lambda_cov(rho, spread[:, None], spread, self.delta)
+        cov_bound = np.full(self.rho.shape, np.nan)
+        cov_bound[live] = (
+            lam_sig / shrink * rho / r
+            + lam_mu[:, :, None] * lam_mu[:, None, :] / shrink**2
+            * tau[:, :, None] * tau[:, None, :] / r**2
+        )
         return cov_bound
 
 
@@ -235,43 +241,27 @@ def assemble_bounds(
     """
     means = em_means(resp, data)
     r = resp.column_sums
-    k_total, d = means.shape
-    spread = data.spread
     tau = compute_tau(resp, data, means)
-    w_em = r / data.n
-
-    lam_w = np.empty(k_total)
-    weight_applicable = np.empty(k_total, dtype=bool)
-    applicable = np.empty(k_total, dtype=bool)
-    weight_bound = np.empty(k_total)
-    lam_mu = np.full((k_total, d), np.nan)
-    mean_bound = np.full((k_total, d), np.nan)
-    mean_bound_euclid = np.full(k_total, np.nan)
-
-    for k in range(k_total):
-        lw = lambda_weight(r[k], delta)
-        lam_w[k] = lw.value
-        weight_applicable[k] = lw.applicable
-        applicable[k] = lw.usable_downstream
-        weight_bound[k] = lw.value * w_em[k]
-        if not lw.usable_downstream:
-            continue
-        lam_mu[k] = [lambda_mean(tau[k, i], spread[i], delta) for i in range(d)]
-        mean_bound[k] = lam_mu[k] / (1.0 - lw.value) * tau[k] / r[k]
-        mean_bound_euclid[k] = float(np.sqrt((mean_bound[k] ** 2).sum()))
+    lw = lambda_weight(r, delta)
+    applicable = lw.usable_downstream
+    lam_mu = np.where(
+        applicable[:, None], lambda_mean(tau, data.spread, delta), np.nan
+    )
+    # rows that are not applicable are NaN throughout, whatever 1 - lambda_w
+    mean_bound = lam_mu / (1.0 - lw.value[:, None]) * tau / r[:, None]
     return BoundReport(
         delta=delta,
         resp=resp,
         data=data,
         em_means=means,
-        lambda_w=lam_w,
-        weight_applicable=weight_applicable,
+        lambda_w=lw.value,
+        weight_applicable=lw.applicable,
         applicable=applicable,
         tau=tau,
         lambda_mu=lam_mu,
-        weight_bound=weight_bound,
+        weight_bound=lw.value * (r / data.n),
         mean_bound=mean_bound,
-        mean_bound_euclid=mean_bound_euclid,
+        mean_bound_euclid=np.sqrt((mean_bound**2).sum(axis=1)),
     )
 
 

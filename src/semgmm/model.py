@@ -98,39 +98,56 @@ def validate_params(weights, means, covariances) -> str | None:
     construction drift tolerance), covariance symmetry and positive
     definiteness (via Cholesky).
     """
+    return _checked_factors(weights, means, covariances)[0]
+
+
+def _checked_factors(weights, means, covariances) -> tuple[str | None, np.ndarray | None]:
+    """validate_params' first violation, or None together with the lower
+    Cholesky factors of the covariances from one batched factorization.
+
+    Symmetry and positive definiteness are reported for the first failing
+    component, symmetry first; the component-by-component search runs only
+    when the batched factorization fails.
+    """
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     cov = np.asarray(covariances, dtype=np.float64)
     if w.ndim != 1:
-        return "weights must be a 1-d sequence"
+        return "weights must be a 1-d sequence", None
     k = w.shape[0]
     if k < 1:
-        return "need at least one component"
+        return "need at least one component", None
     if mu.shape[0] != k or cov.shape[0] != k:
-        return "weights, means and covariances disagree on K"
+        return "weights, means and covariances disagree on K", None
     if mu.ndim != 2:
-        return "means must be a K x D matrix"
+        return "means must be a K x D matrix", None
     d = mu.shape[1]
     if cov.shape != (k, d, d):
-        return f"covariances must have shape ({k}, {d}, {d}), got {cov.shape}"
+        return f"covariances must have shape ({k}, {d}, {d}), got {cov.shape}", None
     if not np.isfinite(w).all():
-        return "weights contain non-finite values"
+        return "weights contain non-finite values", None
     if not np.isfinite(mu).all():
-        return "means contain non-finite values"
+        return "means contain non-finite values", None
     if not np.isfinite(cov).all():
-        return "covariances contain non-finite values"
+        return "covariances contain non-finite values", None
     if (w <= 0).any():
-        return f"weight {int(np.argmin(w))} is not positive"
+        return f"weight {int(np.argmin(w))} is not positive", None
     if abs(w.sum() - 1.0) > WEIGHT_DRIFT_TOL:
-        return f"weights sum != 1 (sum = {w.sum()!r})"
-    for i in range(k):
-        if np.abs(cov[i] - cov[i].T).max() > SYMMETRY_TOL:
-            return f"covariance {i} is not symmetric"
-        try:
-            np.linalg.cholesky(cov[i])
-        except np.linalg.LinAlgError:
-            return f"covariance {i} is not positive definite"
-    return None
+        return f"weights sum != 1 (sum = {w.sum()!r})", None
+    asymmetric = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
+    first_asymmetric = int(np.argmax(asymmetric)) if asymmetric.any() else k
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        for i in range(first_asymmetric):
+            try:
+                np.linalg.cholesky(cov[i])
+            except np.linalg.LinAlgError:
+                return f"covariance {i} is not positive definite", None
+        chol = None
+    if first_asymmetric < k:
+        return f"covariance {first_asymmetric} is not symmetric", None
+    return None, chol
 
 
 class MixtureModel:
@@ -144,14 +161,13 @@ class MixtureModel:
     """
 
     def __init__(self, weights, means, covariances):
-        problem = validate_params(weights, means, covariances)
+        problem, chol = _checked_factors(weights, means, covariances)
         if problem is not None:
             raise InvalidModelError(problem)
         w = np.array(weights, dtype=np.float64)
         w /= w.sum()
         mu = np.array(means, dtype=np.float64)
         cov = np.array(covariances, dtype=np.float64)
-        chol = np.linalg.cholesky(cov)
         for a in (w, mu, cov, chol):
             a.setflags(write=False)
         self.k = w.shape[0]

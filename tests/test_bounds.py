@@ -24,6 +24,7 @@ from semgmm.bounds import (
 from semgmm.estep import from_probs
 from semgmm.model import column_blocks
 from semgmm.rng import substream
+from semgmm.sem import hard_params, sample_assignment
 
 from conftest import make_instance
 from oracles import (
@@ -122,6 +123,45 @@ class TestDeviationLambdas:
                     assert lambda_mean(sd, cap, delta) == pytest.approx(
                         scalar_lambda_dev(sd, cap, delta), rel=1e-14
                     )
+
+
+class TestLambdaArrays:
+    def test_weight_broadcasts_to_scalar_values(self):
+        # the last r sits on the hypothesis boundary, where numpy's exp and
+        # math.exp may round apart
+        r = np.array([0.5, 3.0, 10.0, 50.0, 1234.5, 300.0])
+        for delta in (0.01, 0.1, 2.0 * math.exp(-1.0), 0.5):
+            lw = lambda_weight(r, delta)
+            for i, r_k in enumerate(r):
+                one = lambda_weight(float(r_k), delta)
+                assert lw.value[i] == one.value
+                assert lw.applicable[i] == one.applicable
+                assert lw.usable_downstream[i] == one.usable_downstream
+
+    def test_deviation_broadcasts_to_scalar_values(self):
+        sd = np.array([[0.0, 0.01, 0.5], [3.0, 50.0, 1e-300]])
+        cap = np.array([1.0, 4.0, 0.25])
+        for delta in (0.01, 0.2):
+            lam = lambda_mean(sd, cap, delta)
+            assert lam.shape == sd.shape
+            for (i, j), v in np.ndenumerate(sd):
+                assert lam[i, j] == lambda_mean(float(v), float(cap[j]), delta)
+            np.testing.assert_array_equal(
+                lambda_cov(sd, cap, 2.0, delta), lambda_mean(sd, cap * 2.0, delta)
+            )
+
+    def test_zero_cap_takes_wide_case(self):
+        # a constant coordinate has spread 0: any positive sd is wide
+        wide = math.sqrt(2.0 * math.e * math.log(20.0))
+        np.testing.assert_array_equal(
+            lambda_mean(np.array([0.0, 1e-17, 2.0]), 0.0, 0.1), [0.0, wide, wide]
+        )
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            lambda_mean(np.array([0.1, -0.1]), 1.0, 0.1)
+        with pytest.raises(ValueError):
+            lambda_weight(np.array([10.0, 0.0]), 0.1)
 
 
 class TestTauRho:
@@ -249,6 +289,41 @@ class TestAssembleBounds:
                 assert report.mean_bound[k, 0] == pytest.approx(mb, rel=1e-10)
                 assert report.cov_bound[k, 0, 0] == pytest.approx(cb, rel=1e-10)
 
+    @pytest.mark.parametrize("delta", [1e-12, 0.05])
+    def test_bound_algebra_matches_scalar_loop(self, delta):
+        # the array formulas against a per-cell loop of the scalar oracles
+        # in the same association, bit for bit; at 1e-12 component 1
+        # (r = 78) is not applicable
+        _, data, _, model0 = make_instance(89, d=3, k=3, n=600)
+        resp = responsibilities(model0, data)
+        report = assemble_bounds(resp, data, delta)
+        r, spread, tau, rho = resp.column_sums, data.spread, report.tau, report.rho
+        assert report.applicable.tolist() == [True, delta > 1e-12, True]
+        mean_bound = np.full(tau.shape, np.nan)
+        cov_bound = np.full(rho.shape, np.nan)
+        for k in range(3):
+            lw = scalar_lambda_w(r[k], delta)
+            assert report.lambda_w[k] == lw
+            assert report.weight_bound[k] == lw * (r[k] / data.n)
+            if not report.applicable[k]:
+                continue
+            shrink = 1.0 - lw
+            lam_mu = [scalar_lambda_dev(tau[k, i], spread[i], delta) for i in range(3)]
+            for i in range(3):
+                mean_bound[k, i] = lam_mu[i] / shrink * tau[k, i] / r[k]
+                for j in range(3):
+                    lam_sig = scalar_lambda_dev(rho[k, i, j], spread[i] * spread[j], delta)
+                    cov_bound[k, i, j] = (
+                        lam_sig / shrink * rho[k, i, j] / r[k]
+                        + lam_mu[i] * lam_mu[j] / shrink**2
+                        * tau[k, i] * tau[k, j] / r[k] ** 2
+                    )
+        np.testing.assert_array_equal(report.mean_bound, mean_bound)
+        np.testing.assert_array_equal(
+            report.mean_bound_euclid, np.sqrt((mean_bound**2).sum(axis=1))
+        )
+        np.testing.assert_array_equal(report.cov_bound, cov_bound)
+
     def test_rho_computed_on_first_access(self, rho_calls):
         _, data, _, model0 = make_instance(75, d=3, k=2, n=5000)
         resp = responsibilities(model0, data)
@@ -322,6 +397,55 @@ class TestAssembleBounds:
             reports[n] = assemble_bounds(resp, data, 0.05)
         ratio = reports[1000].lambda_w[0] / reports[4000].lambda_w[0]
         assert ratio == pytest.approx(2.0, rel=1e-12)
+
+    def test_constant_coordinate(self):
+        # spread 0 in coordinate 0, while tau and rho there are rounding
+        # residue of the weighted mean; every bound stays finite
+        rng = substream(94)
+        pts = rng.normal(size=(300, 3))
+        pts[:, 0] = 1.7
+        raw = rng.random((300, 2)) + 0.05
+        resp = from_probs(raw / raw.sum(axis=1, keepdims=True))
+        report = assemble_bounds(resp, DataSet(pts), 0.05)
+        assert report.applicable.all()
+        assert np.isfinite(report.mean_bound).all()
+        assert np.isfinite(report.cov_bound).all()
+
+
+# 0.95-quantiles of |SEM - EM| / bound per cell, read at delta = 0.05 from
+# the draws of test_sampled_deviations_fill_the_bounds (rounded down)
+MEAN_Q95 = np.array([
+    [0.190, 0.205, 0.227],
+    [0.119, 0.170, 0.166],
+    [0.128, 0.152, 0.100],
+])
+COV_Q95 = np.array([
+    [[0.0403, 0.0424, 0.0494], [0.0424, 0.0456, 0.0321], [0.0494, 0.0321, 0.0491]],
+    [[0.0173, 0.0179, 0.0147], [0.0179, 0.0306, 0.0277], [0.0147, 0.0277, 0.0366]],
+    [[0.0190, 0.0150, 0.0125], [0.0150, 0.0261, 0.0142], [0.0125, 0.0142, 0.0113]],
+])
+
+
+def test_sampled_deviations_fill_the_bounds():
+    # the violation rates cannot tell a correct bound from a far too loose
+    # one (the covariance bounds are never violated here), so pin how much
+    # of each bound the sampled deviations use: at least half of what they
+    # read, and no more than the whole bound at the 1 - delta quantile
+    _, data, _, model0 = make_instance(89, d=3, k=3, n=600)
+    resp = responsibilities(model0, data)
+    report = assemble_bounds(resp, data, 0.05)
+    assert report.applicable.all()
+    em_covs = report.em_model.covariances
+    rng = substream(93)
+    mean_ratio, cov_ratio = [], []
+    for _ in range(1000):
+        sem = hard_params(sample_assignment(resp, rng), data)
+        mean_ratio.append(np.abs(sem.means - report.em_means) / report.mean_bound)
+        cov_ratio.append(np.abs(sem.covariances - em_covs) / report.cov_bound)
+    for ratio, read in ((mean_ratio, MEAN_Q95), (cov_ratio, COV_Q95)):
+        q95 = np.quantile(ratio, 0.95, axis=0)
+        assert (q95 >= 0.5 * read).all()
+        assert (q95 <= 1.0).all()
 
 
 @pytest.fixture(scope="module")

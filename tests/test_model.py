@@ -23,9 +23,11 @@ from semgmm import (
     sem_fit,
     validate,
 )
+from semgmm.em import em_round
 from semgmm.ingest import normalize
 from semgmm.model import component_log_joint, validate_params
 from semgmm.rng import substream
+from semgmm.sem import sem_round
 
 from oracles import gaussian_log_density
 
@@ -99,6 +101,44 @@ class TestMixtureModel:
         cov = np.array([[[1.0, 0.5], [0.2, 1.0]]])
         msg = validate_params([1.0], [[0.0, 0.0]], cov)
         assert msg is not None and "symmetric" in msg
+
+    @pytest.mark.parametrize("kinds, message", [
+        ("ok pd- asym", "covariance 1 is not positive definite"),
+        ("ok asym pd-", "covariance 1 is not symmetric"),
+        ("ok both pd-", "covariance 1 is not symmetric"),
+        ("pd- pd- ok", "covariance 0 is not positive definite"),
+        ("ok ok asym", "covariance 2 is not symmetric"),
+    ])
+    def test_first_failing_covariance_named(self, kinds, message):
+        # asymmetric, not positive definite, or both; symmetry is checked
+        # first within one component
+        cov = {
+            "ok": np.eye(2),
+            "asym": np.array([[1.0, 0.5], [0.2, 1.0]]),
+            "pd-": np.array([[1.0, 0.0], [0.0, -1.0]]),
+            "both": np.array([[1.0, 0.5], [0.2, -1.0]]),
+        }
+        covs = np.stack([cov[kind] for kind in kinds.split()])
+        assert validate_params(np.full(3, 1 / 3), np.zeros((3, 2)), covs) == message
+        with pytest.raises(InvalidModelError, match=message):
+            MixtureModel(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
+
+    @pytest.mark.parametrize("round_fn", [em_round, sem_round])
+    def test_one_factorization_per_model(self, monkeypatch, small_instance, round_fn):
+        # K = 3: one factorability check per component in the M-step, then
+        # the model's one batched factorization
+        _, data, _, model0 = small_instance
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        model = round_fn(model0, data, SemConfig(rng_seed=3), 0)
+        assert model.k == 3
+        assert calls == [(2, 2)] * 3 + [(3, 2, 2)]
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(InvalidModelError, match="positive"):

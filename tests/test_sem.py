@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import semgmm.em
+import semgmm.sem
 from semgmm import (
     Assignment,
     DataError,
     DataSet,
+    DegeneracyError,
     MixtureModel,
     SemConfig,
+    assemble_bounds,
     em_fit,
     responsibilities,
     sample_assignment,
@@ -19,6 +25,7 @@ from semgmm.estep import from_probs, posterior_weights
 from semgmm.model import block_width
 from semgmm.sem import PartialParams, hard_means, hard_params, repair_component
 from semgmm.rng import substream
+from semgmm.synth import initialize
 
 from conftest import make_instance, separated_instance
 from oracles import component_mle, row_cdf_labels
@@ -422,3 +429,72 @@ class TestSemFit:
         np.testing.assert_array_equal(em_model.weights, sem_traj[0].weights)
         np.testing.assert_array_equal(em_model.means, sem_traj[0].means)
         np.testing.assert_array_equal(em_model.covariances, sem_traj[0].covariances)
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """Records each ridge repair (the covariance it was given) and each full
+    repair (the component) that a round makes."""
+    events = {"ridge": [], "component": []}
+    ridge, component = semgmm.em.ridge_repair, semgmm.sem.repair_component
+
+    def ridge_recording(cov):
+        events["ridge"].append(cov.copy())
+        return ridge(cov)
+
+    def component_recording(k, *args, **kwargs):
+        events["component"].append(k)
+        return component(k, *args, **kwargs)
+
+    monkeypatch.setattr(semgmm.em, "ridge_repair", ridge_recording)
+    monkeypatch.setattr(semgmm.sem, "repair_component", component_recording)
+    return events
+
+
+class TestDegenerateData:
+    @pytest.mark.parametrize("d", [3, 10])
+    @pytest.mark.parametrize("fit", [em_fit, sem_fit])
+    def test_component_of_copies_is_repaired(self, d, fit, repairs):
+        # component 1 holds 60 copies of one point, far from the others:
+        # its covariance collapses to (nearly) zero in the first round
+        rng = substream(95, d)
+        copy = rng.normal(size=d) * 0.5 + 6.0
+        data = DataSet(np.vstack([rng.normal(size=(200, d)), np.tile(copy, (60, 1))]))
+        model0 = MixtureModel([0.7, 0.3], [np.zeros(d), copy], [np.eye(d)] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = fit(model0, data, 5, SemConfig(rng_seed=4))
+        assert len(traj) == 5
+        assert all(validate(m) is None for m in traj)
+        # a ridge repair can only be of the collapsed component
+        assert 1 in repairs["component"] or any(
+            np.trace(cov) < 1e-6 for cov in repairs["ridge"]
+        )
+
+    @pytest.mark.parametrize("d", [3, 10])
+    @pytest.mark.parametrize("extra", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_barely_enough_points(self, d, extra, seed, repairs):
+        # N = D+1 or D+2 points for two components: every call either runs,
+        # repairing what it must, or raises one of the library's own errors
+        data = DataSet(substream(96, d, extra, seed).normal(size=(d + extra, d)))
+        model0 = initialize(data, 2, substream(96, seed))
+        cfg = SemConfig(rng_seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (em_fit, sem_fit):
+                try:
+                    traj = fit(model0, data, 5, cfg)
+                except (DataError, DegeneracyError):
+                    continue
+                assert len(traj) == 5
+                assert all(validate(m) is None for m in traj)
+            # a sampled component of at most D+2 points is below zeta = D+1
+            # or leaves the other one below it
+            assert repairs["component"]
+            try:
+                report = assemble_bounds(responsibilities(model0, data), data, 0.05)
+                cov_bound = report.cov_bound
+            except (DataError, DegeneracyError):
+                return
+        assert np.isnan(cov_bound[~report.applicable]).all()
