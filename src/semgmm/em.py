@@ -119,9 +119,13 @@ def _em_params(
             np.multiply(xc, pk, out=wxc)
             cov = wxc @ xc.T / r[k]
             covs[k] = 0.5 * (cov + cov.T)
+    # a covariance narrower than the data's rounding resolution, eps times
+    # its largest spread, is a point mass: a ridge scaled to it cannot widen
+    # it, and its inverse factor overflows the next E-step
+    floor = data.d * (np.finfo(np.float64).eps * data.spread.max()) ** 2
     degenerate: list[int] = []
     for k in range(k_total):
-        if not live[k]:
+        if not live[k] or not np.trace(covs[k]) > floor:
             degenerate.append(k)
         elif not factorizable(covs[k]):
             repaired = ridge_repair(covs[k])
@@ -175,4 +179,4 @@ def em_fit(
     derived from repair_cfg.rng_seed so the run stays reproducible.
     """
     cfg = repair_cfg if repair_cfg is not None else SemConfig()
-    return fit_rounds(em_round, model0, data, rounds, cfg)
+    return list(fit_rounds(em_round, model0, data, rounds, cfg))

@@ -37,7 +37,7 @@ from .estep import responsibilities
 from .ingest import load_csv
 from .model import DataSet, DegeneracyError, MixtureModel, log_likelihood
 from .rng import check_seed, derive_seed, substream
-from .sem import SemConfig, hard_params, sample_assignment, sem_fit, sem_m_step, sem_round
+from .sem import SemConfig, fit_rounds, sem_fit, sem_round, sem_step
 from .synth import GenSpec, check_k, generate_mixture, initialize, sample_dataset
 
 _TAG_DATA, _TAG_INIT, _TAG_RUN, _TAG_EM = 0, 1, 2, 3
@@ -398,38 +398,38 @@ def run_compare_experiment(
 def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> Path:
     """Third protocol: actual Euclidean mean distance vs the assembled bound.
 
-    During each stochastic round, the deterministic mean update is computed
-    from the same current model (its means only: the EM covariances are
-    never formed, and a run is excluded only when a component has no
-    responsibility mass); the per-component actual distance between
-    the raw sampled means and the deterministic means is emitted next to the
-    union-bound Euclidean mean bound.  Inapplicable components (weight bound
-    hypothesis failed, lambda_w >= 1, or an empty sample) are emitted with
-    missing values.
+    Each stochastic round is sem_step on the responsibilities of the
+    current model, run through the same round loop as sem_fit.  From those
+    responsibilities the deterministic mean update is also computed (its
+    means only: the EM covariances are never formed, and a run is excluded
+    only when a component has no responsibility mass); the per-component
+    actual distance between the raw sampled means and the deterministic
+    means is emitted next to the union-bound Euclidean mean bound.
+    Inapplicable components (weight bound hypothesis failed, lambda_w >= 1,
+    or an empty sample) are emitted with missing values.
     """
     if data is None:
         data = prepare_data(plan)
     delta = effective_delta(plan, data.d)
 
     def bound_run(i, j, model0):
-        cfg = _sem_cfg(plan, i, j)
-        model = model0
         rows = []
-        for t in range(plan.rounds):
+
+        def bound_round(model, data, cfg, t):
             resp = responsibilities(model, data)
             report = assemble_bounds(resp, data, delta)
-            assign = sample_assignment(resp, substream(cfg.rng_seed, t, 0))
-            # one hard_params serves the row and the update; the rows are
-            # read first, because repair writes into `partial`
-            partial = hard_params(assign, data)
+            partial, next_model = sem_step(resp, data, model, cfg, t)
             for k in range(plan.k):
-                if report.applicable[k] and assign.counts[k] >= 1:
+                if report.applicable[k] and partial.counts[k] >= 1:
                     actual = float(np.sqrt(((partial.means[k] - report.em_means[k]) ** 2).sum()))
                     bound = float(report.mean_bound_euclid[k])
                     rows.append((i, j, t + 1, k, actual, bound, 1))
                 else:
                     rows.append((i, j, t + 1, k, None, None, 0))
-            model = sem_m_step(partial, data, model, cfg, substream(cfg.rng_seed, t, 1))
+            return next_model
+
+        for _ in fit_rounds(bound_round, model0, data, plan.rounds, _sem_cfg(plan, i, j)):
+            pass
         return rows
 
     comments, swept = _sweep(plan, data, bound_run)
@@ -491,9 +491,10 @@ def run_speed_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
     """Per-iteration multiplication counts and wall-clock for both algorithms,
     run from the same initial model on the same data.
 
-    The rounds are timed in pairs: EM round t, then SEM round t, each
-    continuing its own trajectory, so that drift in the machine's speed
-    affects both algorithms alike.  Rows are written EM first, then SEM.
+    The two trajectories are advanced alternately through the round loop,
+    and the rounds are timed in pairs: EM round t, then SEM round t, so
+    that drift in the machine's speed affects both algorithms alike.  Rows
+    are written EM first, then SEM.
     """
     if data is None:
         data = prepare_data(plan)
@@ -505,15 +506,17 @@ def run_speed_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
     sem_count.add_estep(n, d, k)
     sem_count.add_sem_mstep(n, d)
     runs = {
-        "em": (em_round, _em_cfg(plan, 0), em_count.mults),
-        "sem": (sem_round, _sem_cfg(plan, 0, 0), sem_count.mults),
+        "em": (fit_rounds(em_round, model0, data, plan.rounds, _em_cfg(plan, 0)), em_count.mults),
+        "sem": (
+            fit_rounds(sem_round, model0, data, plan.rounds, _sem_cfg(plan, 0, 0)),
+            sem_count.mults,
+        ),
     }
-    models = dict.fromkeys(runs, model0)
     rows = {algo: [] for algo in runs}
     for t in range(plan.rounds):
-        for algo, (round_fn, cfg, mults) in runs.items():
+        for algo, (trajectory, mults) in runs.items():
             start = time.perf_counter_ns()
-            models[algo] = round_fn(models[algo], data, cfg, t)
+            next(trajectory)
             wall = time.perf_counter_ns() - start
             rows[algo].append((algo, t + 1, mults, wall))
     out = Path(plan.out_dir) / "speed_trace.csv"

@@ -2,7 +2,8 @@
 degeneracy repair shared with the deterministic algorithm."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +61,6 @@ class PartialParams:
     means: np.ndarray
     covariances: np.ndarray
     counts: np.ndarray
-    repaired: list[int] = field(default_factory=list)
 
 
 def _rows_mle(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,17 +214,19 @@ def finalize_model(
     cfg: SemConfig,
     rng: np.random.Generator,
 ) -> MixtureModel:
-    """Repair all degenerate components, then renormalize weights once."""
+    """Repair all degenerate components, then renormalize weights once.
+
+    The repairs go into a copy of `partial`, which is left as it was given;
+    each repair sees the components repaired before it.
+    """
     n = data.n
     weights = partial.counts / n
+    work = PartialParams(partial.means.copy(), partial.covariances.copy(), partial.counts)
     for k in degenerate:
-        mu, cov = repair_component(k, data, prev, partial, cfg, rng)
-        partial.means[k] = mu
-        partial.covariances[k] = cov
+        work.means[k], work.covariances[k] = repair_component(k, data, prev, work, cfg, rng)
         weights[k] = max(partial.counts[k], 1.0) / n
-        partial.repaired.append(k)
     weights /= weights.sum()
-    return MixtureModel(weights, partial.means, partial.covariances)
+    return MixtureModel(weights, work.means, work.covariances)
 
 
 def _grouped(assign: Assignment, data: DataSet) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +284,7 @@ def sem_m_step(
     Weights become counts/N and each component takes the Gaussian MLE of its
     own points; components with fewer than zeta points (or with a
     non-factorizable covariance) are repaired before the weights are
-    renormalized.  Repair writes into `partial`, so read what is needed from
-    it before this call.
+    renormalized.  `partial` is left as it was given.
     """
     zeta = cfg.effective_zeta(data.d)
     degenerate = [
@@ -294,17 +295,37 @@ def sem_m_step(
     return finalize_model(partial, degenerate, data, prev, cfg, rng)
 
 
+def _sample(weights, cfg: SemConfig, t: int) -> Assignment:
+    """Round t's assignment, sampled from the rows `weights` on (cfg.rng_seed, t, 0)."""
+    return sample_assignment(weights, substream(cfg.rng_seed, t, 0))
+
+
+def _hard_step(
+    assign: Assignment, data: DataSet, model: MixtureModel, cfg: SemConfig, t: int
+) -> tuple[PartialParams, MixtureModel]:
+    """Round t's hard-assignment M-step from `model`, repairing on
+    (cfg.rng_seed, t, 1); returns what sem_step returns."""
+    partial = hard_params(assign, data)
+    return partial, sem_m_step(partial, data, model, cfg, substream(cfg.rng_seed, t, 1))
+
+
+def sem_step(
+    weights, data: DataSet, model: MixtureModel, cfg: SemConfig, t: int
+) -> tuple[PartialParams, MixtureModel]:
+    """Round t of the stochastic algorithm on the rows `weights` (any that
+    sample_assignment takes): returns the sampled assignment's hard_params,
+    unrepaired, and the next model, the hard-assignment M-step from `model`."""
+    return _hard_step(_sample(weights, cfg, t), data, model, cfg, t)
+
+
 def sem_round(
     model: MixtureModel, data: DataSet, cfg: SemConfig, t: int
 ) -> MixtureModel:
-    """Round t of the stochastic algorithm: sample an assignment from the
-    unnormalized posterior rows, then take the hard-assignment M-step."""
-    assign = sample_assignment(
-        posterior_weights(model, data), substream(cfg.rng_seed, t, 0)
-    )
-    return sem_m_step(
-        hard_params(assign, data), data, model, cfg, substream(cfg.rng_seed, t, 1)
-    )
+    """Round t of the stochastic algorithm: sem_step on the unnormalized
+    posterior rows of `model`."""
+    # the two halves of sem_step, so that the rows are freed when _sample
+    # returns, before hard_params gathers the points
+    return _hard_step(_sample(posterior_weights(model, data), cfg, t), data, model, cfg, t)[1]
 
 
 def check_rounds(rounds: int) -> None:
@@ -315,21 +336,20 @@ def check_rounds(rounds: int) -> None:
 
 def fit_rounds(
     round_fn, model0: MixtureModel, data: DataSet, rounds: int, cfg: SemConfig
-) -> list[MixtureModel]:
-    """The fixed-round loop of both algorithms: after checking the
-    arguments, apply round_fn(model, data, cfg, t) for t = 0, ..., rounds - 1
-    and return the trajectory.  Stopping is by round count only."""
+) -> Iterator[MixtureModel]:
+    """The fixed-round loop of every trajectory: when first advanced, check
+    the arguments, then yield model = round_fn(model, data, cfg, t) for
+    t = 0, ..., rounds - 1, starting from model0.  Stopping is by round
+    count only."""
     check_rounds(rounds)
     if data.n < data.d + 1:
         raise DataError(f"need N >= D+1 points, got N={data.n}, D={data.d}")
     if model0.d != data.d:
         raise DataError(f"model dimension {model0.d} != data dimension {data.d}")
     model = model0
-    trajectory: list[MixtureModel] = []
     for t in range(rounds):
         model = round_fn(model, data, cfg, t)
-        trajectory.append(model)
-    return trajectory
+        yield model
 
 
 def sem_fit(
@@ -345,4 +365,4 @@ def sem_fit(
     (rng_seed, round, purpose) so runs are reproducible and independent
     across seeds.
     """
-    return fit_rounds(sem_round, model0, data, rounds, cfg)
+    return list(fit_rounds(sem_round, model0, data, rounds, cfg))

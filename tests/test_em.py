@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from semgmm import (
 )
 from semgmm.em import ridge_repair
 from semgmm.estep import from_probs
-from semgmm.sem import SemConfig
+from semgmm.rng import substream
+from semgmm.sem import POLICIES, SemConfig
+from semgmm.synth import initialize
 
 from conftest import make_instance
 from oracles import scalar_em_update
@@ -136,3 +140,21 @@ class TestEmFit:
         traj = em_fit(model0, data, 5, SemConfig(rng_seed=9))
         for m in traj:
             assert validate(m) is None
+
+
+class TestCollapseOntoAPoint:
+    """EM can shrink a component onto one point until its covariance is far
+    below the data's rounding resolution and still factors; that component
+    must be repaired, or the next E-step overflows in its inverse factor."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_collapsed_component_repaired(self, policy):
+        # D 2, N 4, K 3: one component's covariance reaches eigenvalues of
+        # about 1e-291 and -9e-308 by round 3
+        data = DataSet(substream(5, 4, 3).normal(size=(4, 2)))
+        cfg = SemConfig(rng_seed=5, repair_policy=policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = em_fit(initialize(data, 3, substream(5, 1)), data, 5, cfg)
+        assert len(traj) == 5
+        assert all(validate(m) is None for m in traj)

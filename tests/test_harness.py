@@ -329,8 +329,7 @@ def force_exclusion(monkeypatch, plan, i, j, error=None):
             raise error
         return real(partial, data, prev, cfg, rng)
 
-    for module in (semgmm.sem, semgmm.harness):
-        monkeypatch.setattr(module, "sem_m_step", m_step)
+    monkeypatch.setattr(semgmm.sem, "sem_m_step", m_step)
 
 
 class CallLog:
@@ -586,6 +585,18 @@ class TestCli:
                       "--rounds", 2, "--out", tmp_path)
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "speed_trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "bounds", "speed"])
+    def test_too_few_points_is_data_error(self, tmp_path, command):
+        # N = D = 3: every experiment's trajectories refuse the data before
+        # their first round, and no trace is written
+        (tmp_path / "few.csv").write_text("0,1,2\n1,0,2\n2,2,0\n")
+        out = tmp_path / "out"
+        res = run_cli(command, "--data", tmp_path / "few.csv", "--k", 2, "--rounds", 2,
+                      "--inits", 1, "--runs", 1, "--out", out)
+        assert res.returncode == 2
+        assert "semgmm: data error: need N >= D+1 points, got N=3, D=3" in res.stderr
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         res = run_cli("fit-em", "--data")  # missing value

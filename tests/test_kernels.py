@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semgmm import (
     DataSet,
@@ -69,33 +71,54 @@ def shifted_instance(seed, d, offset, scale, n=3000, k=3):
     return DataSet(data.points * scale + offset), moved, labels
 
 
+def check_log_joint(d, offset, scale, n=3000):
+    data, model, _ = shifted_instance(91, d, offset, scale, n=n)
+    lj = component_log_joint(model, data)
+    # centring by a product with the inverse factor loses about
+    # eps * offset / scale per coordinate, which the squared norm doubles
+    atol = 1e3 * EPS * (1.0 + abs(offset) / scale)
+    for k in range(model.k):
+        expected = math.log(model.weights[k]) + gaussian_log_density(
+            model.means[k], model.chol[k], data.points
+        )
+        np.testing.assert_allclose(lj[:, k], expected, rtol=1e-12, atol=atol)
+
+
+def check_em_params(d, offset, scale, n=3000, cov_slack=0.0):
+    data, model, _ = shifted_instance(92, d, offset, scale, n=n)
+    resp = responsibilities(model, data)
+    partial, degenerate = _em_params(resp, data)
+    means, covs = weighted_mle(resp.probs, data.points)
+    assert degenerate == []
+    np.testing.assert_allclose(
+        partial.means, means, rtol=0, atol=1e3 * EPS * (abs(offset) + 10 * scale)
+    )
+    np.testing.assert_allclose(
+        partial.covariances, covs, rtol=1e4 * EPS, atol=1e4 * EPS * scale**2 + cov_slack
+    )
+
+
+def check_hard_params(d, offset, scale, n=3000, cov_slack=0.0):
+    data, model, _ = shifted_instance(93, d, offset, scale, n=n)
+    assign = sample_assignment(responsibilities(model, data), substream(93, 2))
+    hard = hard_params(assign, data)
+    means, covs = masked_mle(data.points, assign.labels, assign.k)
+    np.testing.assert_allclose(
+        hard.means, means, rtol=0, atol=1e3 * EPS * (abs(offset) + 10 * scale)
+    )
+    np.testing.assert_allclose(
+        hard.covariances, covs, rtol=1e4 * EPS, atol=1e4 * EPS * scale**2 + cov_slack
+    )
+
+
 @DIMS
 @SHIFTS
 class TestAgainstOracles:
     def test_log_joint(self, d, offset, scale):
-        data, model, _ = shifted_instance(91, d, offset, scale)
-        lj = component_log_joint(model, data)
-        # centring by a product with the inverse factor loses about
-        # eps * offset / scale per coordinate, which the squared norm doubles
-        atol = 1e3 * EPS * (1.0 + offset / scale)
-        for k in range(model.k):
-            expected = math.log(model.weights[k]) + gaussian_log_density(
-                model.means[k], model.chol[k], data.points
-            )
-            np.testing.assert_allclose(lj[:, k], expected, rtol=1e-12, atol=atol)
+        check_log_joint(d, offset, scale)
 
     def test_em_m_step(self, d, offset, scale):
-        data, model, _ = shifted_instance(92, d, offset, scale)
-        resp = responsibilities(model, data)
-        partial, degenerate = _em_params(resp, data)
-        means, covs = weighted_mle(resp.probs, data.points)
-        assert degenerate == []
-        np.testing.assert_allclose(
-            partial.means, means, rtol=0, atol=1e3 * EPS * (offset + 10 * scale)
-        )
-        np.testing.assert_allclose(
-            partial.covariances, covs, rtol=1e4 * EPS, atol=1e4 * EPS * scale**2
-        )
+        check_em_params(d, offset, scale)
 
     def test_em_means_bit_for_bit(self, d, offset, scale):
         data, model, labels = shifted_instance(92, d, offset, scale)
@@ -105,16 +128,36 @@ class TestAgainstOracles:
             assert np.array_equal(em_means(resp, data), em_m_step(resp, data).means)
 
     def test_hard_params(self, d, offset, scale):
-        data, model, _ = shifted_instance(93, d, offset, scale)
-        assign = sample_assignment(responsibilities(model, data), substream(93, 2))
-        hard = hard_params(assign, data)
-        means, covs = masked_mle(data.points, assign.labels, assign.k)
-        np.testing.assert_allclose(
-            hard.means, means, rtol=0, atol=1e3 * EPS * (offset + 10 * scale)
-        )
-        np.testing.assert_allclose(
-            hard.covariances, covs, rtol=1e4 * EPS, atol=1e4 * EPS * scale**2
-        )
+        check_hard_params(d, offset, scale)
+
+
+def check_tau(d, offset, scale, n=3000):
+    data, model, _ = shifted_instance(98, d, offset, scale, n=n)
+    resp = responsibilities(model, data)
+    np.testing.assert_allclose(
+        compute_tau(resp, data, model.means),
+        full_tau(resp.probs, data.points, model.means),
+        rtol=1e-13, atol=0,
+    )
+
+
+CHECKS = [check_log_joint, check_em_params, check_hard_params, check_tau]
+COV_CHECKS = (check_em_params, check_hard_params)
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__[6:])
+@given(
+    d=st.sampled_from([3, 10]),
+    offset=st.floats(-1e6, 1e6),
+    scale=st.floats(-6.0, 3.0).map(lambda e: 10.0**e),
+)
+@settings(max_examples=25, deadline=None)
+def test_oracles_at_drawn_offset_and_scale(check, d, offset, scale):
+    # offsets up to 1e6 on either side of the origin and scales log-uniform
+    # from 1e-6 to 1e3, on 500 points; a covariance centred on a mean that
+    # is off by the means' tolerance, 1e3 eps |offset|, is off by its square
+    slack = {"cov_slack": (1e3 * EPS * offset) ** 2} if check in COV_CHECKS else {}
+    check(d, offset, scale, n=500, **slack)
 
 
 #: point counts at and around the block boundaries, from the block width B

@@ -1,8 +1,9 @@
 """Layering rules: no library module imports another module's private names,
 and none imports scipy, whose separately linked BLAS would start a second
 thread pool competing with numpy's for the cores.  Only semgmm.rng makes
-random generators, so every draw comes from a keyed substream.  The
-benchmark's span boundaries name functions that exist."""
+random generators, so every draw comes from a keyed substream, and only the
+round bodies of em and sem key a stream on a run's seed.  The benchmark's
+span boundaries name functions that exist."""
 import ast
 import importlib
 import importlib.util
@@ -101,6 +102,36 @@ def f(rng: np.random.Generator) -> None: ...
     ])
     rng_source = (SRC / "rng.py").read_text(encoding="utf-8")
     assert "np.random.PCG64DXSM" in _numpy_random_uses(ast.parse(rng_source))
+
+
+def _round_streams(tree):
+    """Every substream(...) call keyed on a run's seed (its first argument
+    an `.rng_seed` attribute, such as cfg.rng_seed): the streams of a
+    trajectory's rounds."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        key = node.args[0]
+        if name == "substream" and isinstance(key, ast.Attribute) and key.attr == "rng_seed":
+            yield ast.unparse(node)
+
+
+def test_round_streams_built_only_in_the_rounds():
+    offenders, seen = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        calls = list(_round_streams(ast.parse(path.read_text(encoding="utf-8"))))
+        if path.name in ("em.py", "sem.py"):
+            seen[path.name] = calls
+        else:
+            offenders += [f"{path.name}: {call}" for call in calls]
+    assert offenders == []
+    # the check sees the round bodies' own streams: EM's repair stream and
+    # SEM's sampling and repair streams
+    assert seen == {
+        "em.py": ["substream(cfg.rng_seed, t, 2)"],
+        "sem.py": ["substream(cfg.rng_seed, t, 0)", "substream(cfg.rng_seed, t, 1)"],
+    }
 
 
 def test_bench_span_boundaries_resolve():

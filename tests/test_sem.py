@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -23,7 +24,14 @@ from semgmm import (
 from semgmm.em import em_m_step
 from semgmm.estep import from_probs, posterior_weights
 from semgmm.model import block_width
-from semgmm.sem import PartialParams, hard_means, hard_params, repair_component
+from semgmm.sem import (
+    POLICIES,
+    PartialParams,
+    finalize_model,
+    hard_means,
+    hard_params,
+    repair_component,
+)
 from semgmm.rng import substream
 from semgmm.synth import initialize
 
@@ -250,7 +258,6 @@ class TestHardParams:
             np.testing.assert_array_equal(hard.covariances[k], cov)
         assert np.isnan(hard.means[1]).all() and np.isnan(hard.covariances[1]).all()
         np.testing.assert_array_equal(hard.counts, np.bincount(labels, minlength=3))
-        assert hard.repaired == []
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DataError):
@@ -365,6 +372,54 @@ class TestSemMStep:
             assert (model.means[1] == pts).all(axis=1).any()
 
 
+class TestRepairLeavesInputAlone:
+    """Both M-step entry points repair a copy of the PartialParams they are
+    given; within one call, each repair sees the ones made before it."""
+
+    @staticmethod
+    def two_degenerate():
+        # component 0 holds 49 points, component 1 one (below zeta = 3) and
+        # component 2 none
+        pts = substream(64).normal(size=(50, 2))
+        labels = np.zeros(50, dtype=int)
+        labels[0] = 1
+        prev = MixtureModel(
+            [0.4, 0.3, 0.3], [[0.0, 0.0], [30.0, 30.0], [-30.0, 30.0]], [np.eye(2)] * 3
+        )
+        data = DataSet(pts)
+        return data, prev, hard_params(Assignment(labels, 3), data)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("entry", ["sem_m_step", "finalize_model"])
+    def test_partial_unchanged(self, entry, policy):
+        data, prev, partial = self.two_degenerate()
+        given = copy.deepcopy(partial)
+        cfg, rng = SemConfig(repair_policy=policy), substream(64, 1)
+        if entry == "sem_m_step":
+            model = sem_m_step(partial, data, prev, cfg, rng)
+        else:
+            model = finalize_model(partial, [1, 2], data, prev, cfg, rng)
+        assert validate(model) is None
+        for name in ("means", "covariances", "counts"):
+            np.testing.assert_array_equal(getattr(partial, name), getattr(given, name))
+
+    def test_later_repair_sees_earlier(self):
+        # both components are resampled onto data points; the fresh
+        # covariance of component 2 is scaled by its distance to the nearest
+        # other mean, which counts component 1's new mean, not the previous
+        # model's mean far away
+        data, prev, partial = self.two_degenerate()
+        model = sem_m_step(partial, data, prev, SemConfig(), substream(64, 1))
+        means = model.means
+        for k in (1, 2):
+            assert (means[k] == data.points).all(axis=1).any()
+        dist2 = min(((means[2] - means[i]) ** 2).sum() for i in (0, 1))
+        assert dist2 < ((means[2] - prev.means[1]) ** 2).sum()
+        np.testing.assert_array_equal(model.covariances[2], np.eye(2) * (dist2 / 4.0))
+        # repaired weights count at least one point each, then renormalize
+        np.testing.assert_allclose(model.weights, np.array([49.0, 1.0, 1.0]) / 51.0, rtol=1e-15)
+
+
 class TestRepairComponent:
     def test_fresh_covariance_scale(self):
         # repaired spherical covariance is I * nearest-mean-distance^2 / (2D)
@@ -471,30 +526,35 @@ class TestDegenerateData:
             np.trace(cov) < 1e-6 for cov in repairs["ridge"]
         )
 
-    @pytest.mark.parametrize("d", [3, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
     @pytest.mark.parametrize("extra", [1, 2])
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(8))
     def test_barely_enough_points(self, d, extra, seed, repairs):
-        # N = D+1 or D+2 points for two components: every call either runs,
-        # repairing what it must, or raises one of the library's own errors
+        # N = D+1 or D+2 points for two or three components, over 10 rounds,
+        # in which EM can collapse a component onto a point: every call
+        # either runs, repairing what it must, or raises one of the library's
+        # own errors
         data = DataSet(substream(96, d, extra, seed).normal(size=(d + extra, d)))
-        model0 = initialize(data, 2, substream(96, seed))
         cfg = SemConfig(rng_seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fit in (em_fit, sem_fit):
+            for k, init_rng in ((2, substream(96, seed)), (3, substream(96, seed, 3))):
+                if data.n < k:
+                    continue  # no initial model
+                model0 = initialize(data, k, init_rng)
+                for fit in (em_fit, sem_fit):
+                    try:
+                        traj = fit(model0, data, 10, cfg)
+                    except (DataError, DegeneracyError):
+                        continue
+                    assert len(traj) == 10
+                    assert all(validate(m) is None for m in traj)
                 try:
-                    traj = fit(model0, data, 5, cfg)
+                    report = assemble_bounds(responsibilities(model0, data), data, 0.05)
+                    cov_bound = report.cov_bound
                 except (DataError, DegeneracyError):
                     continue
-                assert len(traj) == 5
-                assert all(validate(m) is None for m in traj)
-            # a sampled component of at most D+2 points is below zeta = D+1
-            # or leaves the other one below it
-            assert repairs["component"]
-            try:
-                report = assemble_bounds(responsibilities(model0, data), data, 0.05)
-                cov_bound = report.cov_bound
-            except (DataError, DegeneracyError):
-                return
-        assert np.isnan(cov_bound[~report.applicable]).all()
+                assert np.isnan(cov_bound[~report.applicable]).all()
+        # a sampled component of at most D+2 points is below zeta = D+1 or
+        # leaves another one below it
+        assert repairs["component"]
