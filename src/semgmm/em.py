@@ -97,6 +97,11 @@ def _em_params(
     coincides with the hard-assignment MLE, and it is computed by the
     stochastic algorithm's own hard_params, so the two algorithms agree bit
     for bit in that case.
+
+    Every responsibility is non-negative (the E-step and from_probs
+    guarantee it), so the weighted scatter sum_n p_nk (x_n - mu_k)(x_n -
+    mu_k)^T is y y^T with y the centred coordinate rows scaled by sqrt(p_k):
+    one symmetric product (SYRK) per component over one reused D x N buffer.
     """
     live = _live(resp, data)
     p = resp.probs
@@ -111,13 +116,14 @@ def _em_params(
         means = _weighted_means(resp, data, live)
         xt = data.points.T
         covs = np.full((k_total, data.d, data.d), np.nan)
-        xc = np.empty_like(xt)
-        wxc = np.empty_like(xt)
+        # y and the sqrt(p_k) row share one allocation: a separate N-vector
+        # made D3K3 rounds next to SEM rounds about 20% slower
+        buf = np.empty((data.d + 1, data.n))
+        y, root_p = buf[:-1], buf[-1]
         for k in np.flatnonzero(live):
-            pk = p[:, k]
-            np.subtract(xt, means[k][:, None], out=xc)
-            np.multiply(xc, pk, out=wxc)
-            cov = wxc @ xc.T / r[k]
+            np.subtract(xt, means[k][:, None], out=y)
+            y *= np.sqrt(p[:, k], out=root_p)
+            cov = y @ y.T / r[k]
             covs[k] = 0.5 * (cov + cov.T)
     # a covariance narrower than the data's rounding resolution, eps times
     # its largest spread, is a point mass: a ridge scaled to it cannot widen

@@ -102,11 +102,12 @@ def prepare_data(plan: ExperimentPlan) -> DataSet:
     return load_csv(plan.dataset)
 
 
+def _initial_model(plan: ExperimentPlan, data: DataSet, i: int) -> MixtureModel:
+    return initialize(data, plan.k, substream(plan.master_seed, _TAG_INIT, i))
+
+
 def initial_models(plan: ExperimentPlan, data: DataSet) -> list[MixtureModel]:
-    return [
-        initialize(data, plan.k, substream(plan.master_seed, _TAG_INIT, i))
-        for i in range(plan.n_inits)
-    ]
+    return [_initial_model(plan, data, i) for i in range(plan.n_inits)]
 
 
 def model_hash(model: MixtureModel) -> str:
@@ -270,18 +271,11 @@ def _likelihood_protocol(data: DataSet):
                 rows.append((i, "em", t, "value", nll))
             if not nlls:
                 continue
-            arr = np.array(list(nlls.values()))  # (runs, rounds)
-            for t in range(plan.rounds):
-                col = arr[:, t]
-                stats = {
-                    "min": col.min(),
-                    "q1": np.percentile(col, 25),
-                    "median": np.percentile(col, 50),
-                    "q3": np.percentile(col, 75),
-                    "max": col.max(),
-                }
-                for name, value in stats.items():
-                    rows.append((i, "sem", t + 1, name, float(value)))
+            # per round of the (runs, rounds) array: min, quartiles and max
+            stats = np.percentile(np.array(list(nlls.values())), [0, 25, 50, 75, 100], axis=0)
+            for t, column in enumerate(stats.T, start=1):
+                for name, value in zip(("min", "q1", "median", "q3", "max"), column):
+                    rows.append((i, "sem", t, name, float(value)))
         titles = [
             "semgmm likelihood trace",
             "stats over stochastic runs; quartiles use linear interpolation on sorted values",
@@ -449,11 +443,15 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
 
 @dataclass
 class OpCounter:
-    """Count of real multiplications performed by one round.
+    """Count of real multiplications performed by one round, in the paper's
+    cost model.
 
     Each method adds the analytical count of one stage (the E-step's
     triangular products, the weighted accumulations, the outer products), so
-    the count is portable rather than read from hardware counters.
+    the count is portable rather than read from hardware counters.  Both
+    M-steps are counted as a full D^2 outer product per point, as the paper
+    counts them; both kernels form the scatter as one symmetric product
+    (SYRK), which computes half of those products.
     """
 
     mults: int = 0
@@ -489,7 +487,8 @@ def _thread_settings() -> str:
 
 def run_speed_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> Path:
     """Per-iteration multiplication counts and wall-clock for both algorithms,
-    run from the same initial model on the same data.
+    run from the same initial model (init 0's; no other init is drawn) on
+    the same data.
 
     The two trajectories are advanced alternately through the round loop,
     and the rounds are timed in pairs: EM round t, then SEM round t, so
@@ -498,7 +497,7 @@ def run_speed_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
     """
     if data is None:
         data = prepare_data(plan)
-    model0 = initial_models(plan, data)[0]
+    model0 = _initial_model(plan, data, 0)
     n, d, k = data.n, data.d, model0.k
     em_count, sem_count = OpCounter(), OpCounter()
     em_count.add_estep(n, d, k)

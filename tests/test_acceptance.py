@@ -45,12 +45,14 @@ MC_BAND = MC_DELTA + 3.0 * math.sqrt(MC_DELTA * (1 - MC_DELTA) / MC_TRIALS)
 PROXIMITY_REL_TOL = 0.01
 
 
-def conclude(num, name, ok, started, limit_s):
+def conclude(num, name, ok, started, limit_s, detail=""):
+    """Print the criterion's verdict line and fail on FAIL, with `detail`
+    (the readings behind the verdict) appended to the failure message."""
     elapsed = time.perf_counter() - started
     verdict = "PASS" if ok and elapsed < limit_s else "FAIL"
     line = f"[criterion {num:02d}] {name}: {verdict} ({elapsed:.1f}s / limit {limit_s:.0f}s)"
     print(line)
-    assert verdict == "PASS", line
+    assert verdict == "PASS", line + detail
 
 
 def half_half_fixture(r):
@@ -202,14 +204,18 @@ def test_criterion_08_speed_ratios(tmp_path):
         for line in fh:
             if line.startswith("#") or line.startswith("algorithm"):
                 continue
-            algo, it, m, w = line.rstrip("\n").split(",")
-            if int(it) > 1:  # drop the warm-up iteration
-                mults[algo].append(int(m))
-                walls[algo].append(int(w))
-    mult_ratio = np.median(mults["em"]) / np.median(mults["sem"])
-    wall_ratio = np.median(walls["em"]) / np.median(walls["sem"])
-    em_vs_model = np.median(mults["em"]) / (2 * 10 * 100_000 * 10**2)
-    em_ms, sem_ms = np.median(walls["em"]) / 1e6, np.median(walls["sem"]) / 1e6
+            algo, _, m, w = line.rstrip("\n").split(",")
+            mults[algo].append(int(m))
+            walls[algo].append(int(w))
+    # medians drop the warm-up iteration
+    mult_ratio = np.median(mults["em"][1:]) / np.median(mults["sem"][1:])
+    wall_ratio = np.median(walls["em"][1:]) / np.median(walls["sem"][1:])
+    em_vs_model = np.median(mults["em"][1:]) / (2 * 10 * 100_000 * 10**2)
+    em_ms, sem_ms = np.median(walls["em"][1:]) / 1e6, np.median(walls["sem"][1:]) / 1e6
+    per_round = "; ".join(
+        f"{t} EM {em / 1e6:.1f} SEM {sem / 1e6:.1f}"
+        for t, (em, sem) in enumerate(zip(walls["em"], walls["sem"]), start=1)
+    )
     ok = (
         1.8 <= mult_ratio <= 3.0
         and 1.5 <= wall_ratio <= 3.5
@@ -221,6 +227,7 @@ def test_criterion_08_speed_ratios(tmp_path):
         f"{wall_ratio:.2f} in [1.5,3.5], em/2KND^2 {em_vs_model:.2f} in [0.8,1.5] "
         f"(median round: EM {em_ms:.1f} ms, SEM {sem_ms:.1f} ms)",
         ok, started, 180,
+        detail=f"\nwall ms per round (round 1 is the warm-up): {per_round}",
     )
 
 

@@ -236,6 +236,21 @@ class TestSpeedExperiment:
             else:
                 assert int(mults) == estep + n * d * d
 
+    def test_draws_init_0_alone(self, tmp_path, monkeypatch):
+        # an n_inits 3 plan times init 0's model and draws no other
+        plan = tiny_plan(tmp_path, rounds=1, n_inits=3)
+        data = prepare_data(plan)
+        expected = model_hash(initial_models(plan, data)[0])
+        drawn = []
+
+        def counted(*args, real=semgmm.harness.initialize):
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(semgmm.harness, "initialize", counted)
+        run_speed_experiment(plan, data)
+        assert [model_hash(m) for m in drawn] == [expected]
+
     def test_header_records_thread_settings(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
