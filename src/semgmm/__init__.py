@@ -13,7 +13,8 @@ from .model import (
 )
 from .estep import ResponsibilityMatrix, responsibilities
 from .em import em_fit, em_m_step
-from .sem import SemConfig, sample_assignment, sem_fit, sem_m_step
+from .rounds import SemConfig
+from .sem import sample_assignment, sem_fit, sem_m_step
 from .bounds import BoundReport, assemble_bounds, monte_carlo_violation_rate
 from .synth import GenSpec, generate_mixture, initialize, sample_dataset
 from .ingest import NormalizationRecord, load_csv, load_model, normalize, save_csv, save_model

@@ -17,8 +17,8 @@ import numpy as np
 
 from .em import em_m_step, em_means
 from .estep import ResponsibilityMatrix
-from .model import DataSet, MixtureModel, column_blocks
-from .sem import hard_means, hard_params, sample_assignment
+from .model import DataSet, MixtureModel, column_blocks, hard_means, hard_params
+from .sem import sample_assignment
 
 E = math.e
 

@@ -20,7 +20,8 @@ from .em import em_fit
 from .ingest import load_csv, load_model, normalize, save_csv, save_model
 from .model import DataError, DataSet, DegeneracyError, InvalidModelError
 from .rng import check_seed, substream
-from .sem import SemConfig, check_rounds, sem_fit
+from .rounds import SemConfig, check_rounds
+from .sem import sem_fit
 from .synth import GenSpec, check_k, generate_mixture, initialize, sample_dataset
 
 EXIT_OK = 0

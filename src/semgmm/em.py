@@ -4,43 +4,22 @@ from __future__ import annotations
 import numpy as np
 
 from .estep import ResponsibilityMatrix, responsibilities
-from .model import Assignment, DataError, DataSet, DegeneracyError, MixtureModel
-from .rng import substream
-from .sem import (
+from .model import (
+    Assignment,
+    DataError,
+    DataSet,
+    DegeneracyError,
+    MixtureModel,
     PartialParams,
-    SemConfig,
-    factorizable,
-    finalize_model,
-    fit_rounds,
     hard_means,
     hard_params,
 )
+from .rng import substream
+from .rounds import SemConfig, factorizable, finalize_model, fit_rounds, ridge_repair
 
 #: a component whose responsibility mass falls below this fraction of N is degenerate
 DEGENERATE_FRACTION = 1e-12
 _DEGENERATE_MESSAGE = "zero responsibility mass (or unrepairable covariance)"
-
-RIDGE_EPS_START = 1e-6
-RIDGE_EPS_MAX = 1e-2
-
-
-def ridge_repair(cov: np.ndarray) -> np.ndarray | None:
-    """Make a near-singular covariance factorizable by adding a scaled ridge.
-
-    Adds eps * trace(cov)/D * I, doubling eps from 1e-6 up to 1e-2; returns
-    None if the matrix still fails to factorize (escalation to full repair).
-    """
-    d = cov.shape[0]
-    scale = np.trace(cov) / d
-    if not np.isfinite(scale) or scale <= 0:
-        return None
-    eps = RIDGE_EPS_START
-    while eps <= RIDGE_EPS_MAX:
-        repaired = cov + (eps * scale) * np.eye(d)
-        if factorizable(repaired):
-            return repaired
-        eps *= 2.0
-    return None
 
 
 def _is_hard(p: np.ndarray) -> bool:

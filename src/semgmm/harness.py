@@ -34,15 +34,14 @@ import numpy as np
 from .bounds import assemble_bounds
 from .em import em_fit, em_round
 from .estep import responsibilities
-from .ingest import load_csv
+from .ingest import FMT, load_csv
 from .model import DataSet, DegeneracyError, MixtureModel, log_likelihood
 from .rng import check_seed, derive_seed, substream
-from .sem import SemConfig, fit_rounds, sem_fit, sem_round, sem_step
+from .rounds import SemConfig, fit_rounds
+from .sem import sem_fit, sem_round, sem_step
 from .synth import GenSpec, check_k, generate_mixture, initialize, sample_dataset
 
 _TAG_DATA, _TAG_INIT, _TAG_RUN, _TAG_EM = 0, 1, 2, 3
-
-FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def _cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return FLOAT_FMT % v
+        return FMT % v
     return str(v)
 
 
@@ -334,7 +333,7 @@ def _diff_protocol(data: DataSet):
     def write(plan, comments, swept):
         titles = [
             "semgmm diff trace",
-            f"gamma_mu {FLOAT_FMT % gamma_mu} gamma_sigma {FLOAT_FMT % gamma_sigma}",
+            f"gamma_mu {FMT % gamma_mu} gamma_sigma {FMT % gamma_sigma}",
         ]
         header = [
             "init_id", "run_id", "round", "component", "param",
@@ -429,7 +428,7 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
     comments, swept = _sweep(plan, data, bound_run)
     rows = [row for _, kept in swept for run in kept.values() for row in run]
     out = Path(plan.out_dir) / "bound_trace.csv"
-    titles = ["semgmm bound trace", f"per-check delta {FLOAT_FMT % delta}"]
+    titles = ["semgmm bound trace", f"per-check delta {FMT % delta}"]
     header = [
         "init_id", "run_id", "round", "component",
         "actual_euclid", "bound_euclid", "applicable",

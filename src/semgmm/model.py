@@ -1,12 +1,15 @@
-"""Core domain types: data sets, Gaussian mixture models, hard assignments.
+"""Core domain types: data sets, Gaussian mixture models, hard assignments
+and their per-label statistics (hard_params, hard_means).
 
-All types are immutable after construction and safe for concurrent reads;
-the one field written later, a model's log-likelihood memo, is replaced in
-a single assignment of the same value for the same data set.
+All types but PartialParams, the parameters mid-M-step, are immutable after
+construction and safe for concurrent reads; the one field written later, a
+model's log-likelihood memo, is replaced in a single assignment of the same
+value for the same data set.
 """
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,6 +268,75 @@ def group_order(assign: Assignment):
     return order, offsets
 
 
+@dataclass
+class PartialParams:
+    """Per-component parameters mid-M-step, before repair.
+
+    Rows of `means`/`covariances` for components that could not be estimated
+    are NaN; `counts` carries the (possibly fractional, for the deterministic
+    algorithm) point mass behind each component.
+    """
+
+    means: np.ndarray
+    covariances: np.ndarray
+    counts: np.ndarray
+
+
+def _rows_mle(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and biased covariance of D coordinate rows, each contiguous.
+
+    Two-pass: centre the rows in place on their freshly computed mean, then
+    take one product, avoiding the catastrophic cancellation of
+    E[xx^T] - mu mu^T.
+    """
+    mu = xc.mean(axis=1)
+    xc -= mu[:, None]
+    cov = xc @ xc.T / xc.shape[1]
+    return mu, 0.5 * (cov + cov.T)
+
+
+def _grouped(assign: Assignment, data: DataSet) -> tuple[np.ndarray, np.ndarray]:
+    """The D x N coordinate rows gathered so that each label's points are
+    contiguous and in their original order, and the offsets delimiting each
+    label in them (group_order)."""
+    if assign.n != data.n:
+        raise DataError("assignment and data disagree on N")
+    order, offsets = group_order(assign)
+    return np.take(data.points.T, order, axis=1), offsets
+
+
+def hard_means(assign: Assignment, data: DataSet) -> np.ndarray:
+    """K x D per-label means of the points assigned to each component, NaN
+    rows for empty components.
+
+    The same mean of the same gathered rows as hard_params, so bit for bit
+    hard_params(assign, data).means, without the covariances.
+    """
+    grouped, offsets = _grouped(assign, data)
+    means = np.full((assign.k, data.d), np.nan)
+    for k in np.flatnonzero(assign.counts):
+        means[k] = grouped[:, offsets[k]:offsets[k + 1]].mean(axis=1)
+    return means
+
+
+def hard_params(assign: Assignment, data: DataSet) -> PartialParams:
+    """Per-label Gaussian MLE: each component's mean and biased covariance
+    over the points assigned to it, and the label counts.
+
+    Empty components keep NaN rows; nothing is repaired.  With hard_means,
+    this is the one implementation of the hard-assignment statistics, shared
+    by the stochastic M-step, the deterministic M-step under one-hot
+    responsibilities, the bound experiment and the Monte-Carlo validator.
+    """
+    grouped, offsets = _grouped(assign, data)
+    k_total, d = assign.k, data.d
+    means = np.full((k_total, d), np.nan)
+    covs = np.full((k_total, d, d), np.nan)
+    for k in np.flatnonzero(assign.counts):
+        means[k], covs[k] = _rows_mle(grouped[:, offsets[k]:offsets[k + 1]])
+    return PartialParams(means, covs, assign.counts.astype(np.float64))
+
+
 def block_width(rows: int) -> int:
     """Largest number of columns per block of the blocked kernels, for a
     kernel whose widest temporary has `rows` float64 rows: a rows x B block
@@ -279,7 +351,9 @@ def column_blocks(n: int, rows: int) -> list[slice]:
     """The fewest column slices of at most block_width(rows) that cover
     range(n), as even as possible and widest first: every block but a
     single one spans at least half the width, and a flat buffer of
-    rows * blocks[0].stop floats holds any of them."""
+    rows * blocks[0].stop floats holds any of them; none for n = 0."""
+    if n == 0:
+        return []
     count = -(-n // block_width(rows))
     narrow, wide = divmod(n, count)
     blocks, start = [], 0

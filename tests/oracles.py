@@ -200,7 +200,7 @@ def component_mle(points):
     """Mean and biased sample covariance of one component's points, by the
     operations of the package's hard-assignment statistics (a contiguous copy
     of the D coordinate rows, their means, centring in place, one product,
-    symmetrization), so that sem.hard_params must agree with it bit for bit."""
+    symmetrization), so that model.hard_params must agree with it bit for bit."""
     xc = np.array(points.T, order="C")
     mu = xc.mean(axis=1)
     xc -= mu[:, None]

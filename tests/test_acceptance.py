@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-import semgmm.sem
+import semgmm.rounds
 from semgmm import (
     DataSet,
     ExperimentPlan,
@@ -274,13 +274,13 @@ def test_criterion_10_degeneracy_repair(monkeypatch):
     model0 = MixtureModel(weights, means, np.stack([np.eye(d)] * k))
 
     events = []
-    original = semgmm.sem.repair_component
+    original = semgmm.rounds.repair_component
 
     def recording(comp, *args, **kwargs):
         events.append(comp)
         return original(comp, *args, **kwargs)
 
-    monkeypatch.setattr(semgmm.sem, "repair_component", recording)
+    monkeypatch.setattr(semgmm.rounds, "repair_component", recording)
     traj = sem_fit(model0, data, 50, SemConfig(rng_seed=1))
     ok = len(traj) == 50
     ok &= all(validate(m) is None for m in traj)

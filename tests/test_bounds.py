@@ -22,9 +22,9 @@ from semgmm.bounds import (
     lambda_weight,
 )
 from semgmm.estep import from_probs
-from semgmm.model import column_blocks
+from semgmm.model import column_blocks, hard_params
 from semgmm.rng import substream
-from semgmm.sem import hard_params, sample_assignment
+from semgmm.sem import sample_assignment
 
 from conftest import make_instance
 from oracles import (

@@ -13,10 +13,9 @@ from semgmm import (
     responsibilities,
     validate,
 )
-from semgmm.em import ridge_repair
 from semgmm.estep import from_probs
 from semgmm.rng import substream
-from semgmm.sem import POLICIES, SemConfig
+from semgmm.rounds import POLICIES, SemConfig, ridge_repair
 from semgmm.synth import initialize
 
 from conftest import make_instance

@@ -35,10 +35,11 @@ from semgmm.model import (
     block_width,
     column_blocks,
     component_log_joint,
+    hard_params,
     normalized_joint,
 )
 from semgmm.rng import substream
-from semgmm.sem import hard_params, sem_round
+from semgmm.sem import sem_round
 
 from conftest import make_instance
 from oracles import (
@@ -202,6 +203,7 @@ def test_column_blocks_cover_evenly():
     for rows in (1, 3, 10, 1000, 50_000):
         b = block_width(rows)
         assert b == 4 or rows * b * 8 <= _BLOCK_BYTES < rows * (b + 1) * 8
+        assert column_blocks(0, rows) == []
         for n in (1, b - 1, b, b + 1, 3 * b + 7):
             blocks = column_blocks(n, rows)
             widths = [c.stop - c.start for c in blocks]

@@ -1,9 +1,10 @@
-"""Layering rules: no library module imports another module's private names,
-and none imports scipy, whose separately linked BLAS would start a second
+"""Layering rules: each library module imports only modules of a lower
+layer, no library module imports another module's private names, and none
+imports scipy, whose separately linked BLAS would start a second
 thread pool competing with numpy's for the cores.  Only semgmm.rng makes
 random generators, so every draw comes from a keyed substream, and only the
 round bodies of em and sem key a stream on a run's seed.  The benchmark's
-span boundaries name functions that exist."""
+span boundaries name functions that exist, each bound to one object."""
 import ast
 import importlib
 import importlib.util
@@ -13,6 +14,38 @@ from pathlib import Path
 import semgmm
 
 SRC = Path(semgmm.__file__).parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+#: each library module's layer: a module imports only modules of a lower one
+RANKS = {
+    "model": 0, "rng": 0,
+    "estep": 1, "rounds": 1, "synth": 1, "ingest": 1,
+    "em": 2, "sem": 2,
+    "bounds": 3,
+    "harness": 4,
+    "cli": 5,
+}
+
+
+def _relative_imports(tree):
+    """The names of the package modules a module imports relatively."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (a.name for a in node.names)
+
+
+def test_modules_import_lower_layers():
+    assert set(MODULES) <= set(RANKS)
+    offenders = [
+        f"{name}.py imports {other}"
+        for name in MODULES
+        for other in _relative_imports(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8")))
+        if RANKS[other] >= RANKS[name]
+    ]
+    assert offenders == []
 
 
 def test_no_private_cross_module_imports():
@@ -134,9 +167,8 @@ def test_round_streams_built_only_in_the_rounds():
     }
 
 
-def test_bench_span_boundaries_resolve():
-    # the tracer skips a boundary the library no longer defines, so a rename
-    # would silently drop its span from every per-layer figure
+def _boundary_paths():
+    """(module, attribute) of every span boundary of bench/tracing.py."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -145,12 +177,32 @@ def test_bench_span_boundaries_resolve():
         spec.loader.exec_module(tracing)
     finally:
         del sys.modules[spec.name]
-    paths = [(b.module, b.attr) for b in tracing.BOUNDARIES] + [tracing.MAP_RUNS[1:]]
+    return [(b.module, b.attr) for b in tracing.BOUNDARIES] + [tracing.MAP_RUNS[1:]]
+
+
+def test_bench_span_boundaries_resolve():
+    # the tracer skips a boundary the library no longer defines, so a rename
+    # would silently drop its span from every per-layer figure
     missing = []
-    for module, attr in paths:
+    for module, attr in _boundary_paths():
         obj = importlib.import_module(module) if module.startswith("semgmm.") else None
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         if not callable(obj) or not obj.__module__.startswith("semgmm"):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_bench_span_boundaries_bound_to_one_object():
+    # the tracer patches every module that binds a boundary's own object:
+    # a module binding its name to another object would escape the patch
+    modules = [semgmm] + [importlib.import_module(f"semgmm.{name}") for name in MODULES]
+    split = []
+    for module, attr in _boundary_paths():
+        name = attr.split(".")[0]
+        original = getattr(importlib.import_module(module), name)
+        split += [
+            f"{m.__name__}.{name}" for m in modules
+            if getattr(m, name, original) is not original
+        ]
+    assert split == []

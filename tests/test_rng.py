@@ -7,7 +7,7 @@ import pytest
 
 from semgmm.harness import ExperimentPlan
 from semgmm.rng import derive_seed, substream
-from semgmm.sem import SemConfig
+from semgmm.rounds import SemConfig
 from semgmm.synth import GenSpec
 
 KEYS = [(5,), (5, 0), (5, 1), (5, 0, 0), (5, 0, 1), (5, 1, 0), (6,), (6, 0)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import semgmm.em
-import semgmm.sem
+import semgmm.rounds
 from semgmm import (
     Assignment,
     DataError,
@@ -23,16 +23,9 @@ from semgmm import (
 )
 from semgmm.em import em_m_step
 from semgmm.estep import from_probs, posterior_weights
-from semgmm.model import block_width
-from semgmm.sem import (
-    POLICIES,
-    PartialParams,
-    finalize_model,
-    hard_means,
-    hard_params,
-    repair_component,
-)
+from semgmm.model import PartialParams, block_width, hard_means, hard_params
 from semgmm.rng import substream
+from semgmm.rounds import POLICIES, finalize_model, repair_component
 from semgmm.synth import initialize
 
 from conftest import make_instance, separated_instance
@@ -117,6 +110,17 @@ class TestSampleAssignment:
             sample_assignment(plain, substream(56, k)).labels,
             row_cdf_labels(plain, substream(56, k)),
         )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_no_rows_give_empty_assignment(self, k):
+        assign = sample_assignment(np.empty((0, k)), substream(56))
+        assert (assign.n, assign.k, assign.labels.size) == (0, k, 0)
+        np.testing.assert_array_equal(assign.counts, np.zeros(k))
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_no_columns_rejected(self, n):
+        with pytest.raises(DataError, match="need K >= 1"):
+            sample_assignment(np.empty((n, 0)), substream(56))
 
 
 class _MaxDraw:
@@ -491,7 +495,7 @@ def repairs(monkeypatch):
     """Records each ridge repair (the covariance it was given) and each full
     repair (the component) that a round makes."""
     events = {"ridge": [], "component": []}
-    ridge, component = semgmm.em.ridge_repair, semgmm.sem.repair_component
+    ridge, component = semgmm.em.ridge_repair, semgmm.rounds.repair_component
 
     def ridge_recording(cov):
         events["ridge"].append(cov.copy())
@@ -502,7 +506,7 @@ def repairs(monkeypatch):
         return component(k, *args, **kwargs)
 
     monkeypatch.setattr(semgmm.em, "ridge_repair", ridge_recording)
-    monkeypatch.setattr(semgmm.sem, "repair_component", component_recording)
+    monkeypatch.setattr(semgmm.rounds, "repair_component", component_recording)
     return events
 
 
