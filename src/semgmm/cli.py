@@ -18,7 +18,7 @@ from .harness import (
 )
 from .em import em_fit
 from .ingest import load_csv, load_model, normalize, save_csv, save_model
-from .model import DataError, DataSet, DegeneracyError, InvalidModelError
+from .model import DataError, DegeneracyError, InvalidModelError
 from .rng import check_seed, substream
 from .rounds import SemConfig, check_rounds
 from .sem import sem_fit

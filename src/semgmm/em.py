@@ -11,6 +11,7 @@ from .model import (
     DegeneracyError,
     MixtureModel,
     PartialParams,
+    column_blocks,
     hard_means,
     hard_params,
 )
@@ -79,8 +80,10 @@ def _em_params(
 
     Every responsibility is non-negative (the E-step and from_probs
     guarantee it), so the weighted scatter sum_n p_nk (x_n - mu_k)(x_n -
-    mu_k)^T is y y^T with y the centred coordinate rows scaled by sqrt(p_k):
-    one symmetric product (SYRK) per component over one reused D x N buffer.
+    mu_k)^T is y y^T with y the centred coordinate rows scaled by sqrt(p_k).
+    It is summed over the column blocks of the points: per block and live
+    component, one symmetric product (SYRK) of one reused (D+1) x B buffer,
+    so the M-step holds no D x N temporary.
     """
     live = _live(resp, data)
     p = resp.probs
@@ -90,20 +93,25 @@ def _em_params(
         hard = hard_params(Assignment(p.argmax(axis=1), k_total), data)
         means, covs = hard.means, hard.covariances
     else:
-        # contiguous coordinate rows of length N against contiguous
-        # responsibility columns
         means = _weighted_means(resp, data, live)
         xt = data.points.T
-        covs = np.full((k_total, data.d, data.d), np.nan)
-        # y and the sqrt(p_k) row share one allocation: a separate N-vector
-        # made D3K3 rounds next to SEM rounds about 20% slower
-        buf = np.empty((data.d + 1, data.n))
-        y, root_p = buf[:-1], buf[-1]
-        for k in np.flatnonzero(live):
-            np.subtract(xt, means[k][:, None], out=y)
-            y *= np.sqrt(p[:, k], out=root_p)
-            cov = y @ y.T / r[k]
-            covs[k] = 0.5 * (cov + cov.T)
+        d = data.d
+        alive = np.flatnonzero(live)
+        scatter = np.zeros((k_total, d, d))
+        # y and the sqrt(p_k) row share one reused block of D+1 rows
+        blocks = column_blocks(data.n, d + 1)
+        buf = np.empty((d + 1) * blocks[0].stop)
+        for cols in blocks:
+            rows = buf[: (d + 1) * (cols.stop - cols.start)].reshape(d + 1, -1)
+            y, root_p = rows[:-1], rows[-1]
+            x = xt[:, cols]
+            for k in alive:
+                np.subtract(x, means[k][:, None], out=y)
+                y *= np.sqrt(p[cols, k], out=root_p)
+                scatter[k] += y @ y.T
+        covs = np.full((k_total, d, d), np.nan)
+        cov = scatter[alive] / r[alive, None, None]
+        covs[alive] = 0.5 * (cov + cov.transpose(0, 2, 1))
     # a covariance narrower than the data's rounding resolution, eps times
     # its largest spread, is a point mass: a ridge scaled to it cannot widen
     # it, and its inverse factor overflows the next E-step

@@ -384,21 +384,24 @@ def component_log_joint(model: MixtureModel, data: DataSet) -> np.ndarray:
     const = (np.log(model.weights) - 0.5 * (d * LOG_2PI + model.log_det))[:, None]
     blocks = column_blocks(data.n, d)
     buf = np.empty(d * blocks[0].stop)
-    for cols in blocks:
-        y = buf[: d * (cols.stop - cols.start)].reshape(d, -1)
-        x = xt[:, cols]
-        for k, (factor, shift) in enumerate(steps):
-            # ||L^-1 (x - mu)||^2 via the cached inverse factor: one GEMM
-            # over the D coordinate rows instead of a subtraction plus
-            # triangular solve, then D squared rows summed into the
-            # component's row
-            np.matmul(factor, x, out=y)
-            y -= shift
-            y *= y
-            np.sum(y, axis=0, out=out[k, cols])
-        block = out[:, cols]
-        block *= -0.5
-        block += const
+    # a point too far from a mean squares to inf: its log-joint under that
+    # component is -inf, which normalized_joint reports, not a warning
+    with np.errstate(over="ignore"):
+        for cols in blocks:
+            y = buf[: d * (cols.stop - cols.start)].reshape(d, -1)
+            x = xt[:, cols]
+            for k, (factor, shift) in enumerate(steps):
+                # ||L^-1 (x - mu)||^2 via the cached inverse factor: one GEMM
+                # over the D coordinate rows instead of a subtraction plus
+                # triangular solve, then D squared rows summed into the
+                # component's row
+                np.matmul(factor, x, out=y)
+                y -= shift
+                y *= y
+                np.sum(y, axis=0, out=out[k, cols])
+            block = out[:, cols]
+            block *= -0.5
+            block += const
     return out.T
 
 
@@ -410,21 +413,27 @@ def normalized_joint(
     log-joint and m_n the maximum of its column n.
 
     Every column's largest entry is exactly 1, so no point's column
-    underflows to all zeros; q[:, n] / s[n] is point n's posterior.  All
-    reductions run over K contiguous rows of length N.  The log-likelihood
-    sum_n (m_n + ln s_n) is also recorded on the model for this data set,
-    where log_likelihood finds it without another E-step.
+    underflows to all zeros; q[:, n] / s[n] is point n's posterior.  The
+    max, shift, exp and sum run in place over column blocks of the log-joint,
+    each entry by the same operations in the same order as over all N
+    columns at once.  The log-likelihood sum_n (m_n + ln s_n) is also
+    recorded on the model for this data set, where log_likelihood finds it
+    without another E-step.
     """
-    lj = component_log_joint(model, data).T
-    m = lj.max(axis=0)
-    if not np.isfinite(m).all():
-        row = int(np.argmin(np.isfinite(m)))
-        raise DataError(
-            f"row {row}: point is infinitely unlikely under every component"
-        )
-    lj -= m
-    q = np.exp(lj, out=lj)
-    s = q.sum(axis=0)
+    q = component_log_joint(model, data).T
+    m = np.empty(data.n)
+    s = np.empty(data.n)
+    for cols in column_blocks(data.n, model.k):
+        block, top = q[:, cols], m[cols]
+        np.max(block, axis=0, out=top)
+        if not np.isfinite(top).all():
+            row = cols.start + int(np.argmin(np.isfinite(top)))
+            raise DataError(
+                f"row {row}: point is infinitely unlikely under every component"
+            )
+        block -= top
+        np.exp(block, out=block)
+        np.sum(block, axis=0, out=s[cols])
     loglik = float((m + np.log(s)).sum())
     model._loglik = (weakref.ref(data), loglik)
     return q, s, loglik

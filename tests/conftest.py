@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semgmm import DataSet, GenSpec, MixtureModel, generate_mixture, initialize, sample_dataset
+from semgmm import GenSpec, MixtureModel, generate_mixture, initialize, sample_dataset
 from semgmm.rng import substream
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from semgmm import (
     responsibilities,
 )
 from semgmm.estep import from_probs, posterior_weights
-from semgmm.model import component_log_joint, normalized_joint
+from semgmm.model import block_width, column_blocks, component_log_joint, normalized_joint
 from semgmm.rng import substream
 
 from conftest import make_instance
@@ -76,6 +77,24 @@ class TestResponsibilities:
         resp = responsibilities(m, DataSet([[0.0], [1000.0]]))
         np.testing.assert_allclose(resp.probs, [[1.0, 0.0], [0.0, 1.0]], atol=1e-200)
         assert resp.check() is None
+
+    @pytest.mark.parametrize("estep", [responsibilities, posterior_weights, log_likelihood])
+    def test_overflowing_point_is_a_data_error(self, estep):
+        # a squared Mahalanobis norm past the largest float under every
+        # component, for a point in the third column block of the log-joint
+        # and of its normalisation
+        n, far = 3 * block_width(2), 2 * block_width(2) + 5
+        x = substream(34, 0).normal(size=(n, 2))
+        x[far] = 1e200
+        m = MixtureModel([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [np.eye(2), np.eye(2)])
+        assert len(column_blocks(n, 2)) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                estep(m, DataSet(x))
+        assert str(err.value) == (
+            f"row {far}: point is infinitely unlikely under every component"
+        )
 
     def test_high_dimension_no_underflow(self):
         d = 40

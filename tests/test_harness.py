@@ -15,9 +15,11 @@ import semgmm.harness
 import semgmm.model
 import semgmm.sem
 from semgmm import (
+    DataSet,
     DegeneracyError,
     ExperimentPlan,
     GenSpec,
+    MixtureModel,
     load_csv,
     load_model,
     run_bound_experiment,
@@ -25,6 +27,8 @@ from semgmm import (
     run_diff_experiment,
     run_likelihood_experiment,
     run_speed_experiment,
+    save_csv,
+    save_model,
 )
 from semgmm.harness import (
     OpCounter,
@@ -34,7 +38,7 @@ from semgmm.harness import (
     model_hash,
     prepare_data,
 )
-from semgmm.rng import derive_seed
+from semgmm.rng import derive_seed, substream
 
 
 def tiny_plan(tmp_path, **overrides):
@@ -690,6 +694,23 @@ class TestCli:
         res = run_cli("init", "--data", tmp_path / "bad.csv", "--k", 1)
         assert res.returncode == 2
         assert "data error" in res.stderr
+
+    def test_overflowing_point_is_data_error(self, tmp_path):
+        # the point at 1e200 squares past the largest float under both
+        # components: the E-step's data error is the only line on stderr
+        x = substream(36, 0).normal(size=(50, 2))
+        x[7] = 1e200
+        save_csv(DataSet(x), tmp_path / "far.csv")
+        model = MixtureModel([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [np.eye(2), np.eye(2)])
+        save_model(model, tmp_path / "model.txt")
+        out = tmp_path / "out"
+        res = run_cli("fit-em", "--data", tmp_path / "far.csv", "--model", tmp_path / "model.txt",
+                      "--rounds", 2, "--out", out)
+        assert res.returncode == 2
+        assert res.stderr == (
+            "semgmm: data error: row 7: point is infinitely unlikely under every component\n"
+        )
+        assert not out.exists()
 
     def test_undecodable_csv_exit_code(self, tmp_path):
         (tmp_path / "bad.csv").write_bytes(b"1,2\n3,\xe9\n")

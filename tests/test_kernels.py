@@ -28,7 +28,7 @@ from semgmm import (
     save_csv,
 )
 from semgmm.bounds import compute_rho, compute_tau
-from semgmm.em import _em_params, em_means, em_round
+from semgmm.em import DEGENERATE_FRACTION, _em_params, em_means, em_round
 from semgmm.estep import from_probs, posterior_weights
 from semgmm.model import (
     _BLOCK_BYTES,
@@ -98,7 +98,9 @@ def vanishing_weights(probs):
     return p
 
 
-def check_em_params(d, offset, scale, n=3000, cov_slack=0.0, vanishing=False):
+def em_params_of(d, offset, scale, n, vanishing):
+    """_em_params on the responsibilities of shifted_instance(92, ...),
+    raising any RuntimeWarning, with the data set and responsibilities."""
     data, model, _ = shifted_instance(92, d, offset, scale, n=n)
     resp = responsibilities(model, data)
     if vanishing:
@@ -106,6 +108,11 @@ def check_em_params(d, offset, scale, n=3000, cov_slack=0.0, vanishing=False):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         partial, degenerate = _em_params(resp, data)
+    return partial, degenerate, data, resp
+
+
+def check_em_params(d, offset, scale, n=3000, cov_slack=0.0, vanishing=False):
+    partial, degenerate, data, resp = em_params_of(d, offset, scale, n, vanishing)
     means, covs = weighted_mle(resp.probs, data.points)
     assert degenerate == []
     np.testing.assert_allclose(
@@ -247,6 +254,25 @@ class TestBlockedKernels:
         )
 
     @SHIFTS
+    @pytest.mark.parametrize("vanishing", [False, True], ids=["soft", "vanishing"])
+    def test_em_params(self, d, edge, offset, scale, vanishing):
+        # N at and around the EM M-step's own block width, whose buffer
+        # holds D+1 rows
+        n = EDGES[edge](block_width(d + 1))
+        if n > 1:
+            check_em_params(d, offset, scale, n=n, vanishing=vanishing)
+            return
+        # one point has no scatter, so no covariance can be estimated from
+        # it; every live component's mean is still the point
+        partial, degenerate, data, resp = em_params_of(d, offset, scale, 1, vanishing)
+        live = resp.column_sums >= DEGENERATE_FRACTION * data.n
+        assert degenerate and live.any()
+        np.testing.assert_allclose(
+            partial.means[live], np.repeat(data.points, live.sum(), axis=0),
+            rtol=0, atol=1e3 * EPS * (abs(offset) + 10 * scale),
+        )
+
+    @SHIFTS
     def test_rho(self, d, edge, offset, scale):
         data, model = blocked_instance(99, d, edge, offset, scale)
         resp = responsibilities(model, data)
@@ -289,14 +315,14 @@ def test_coordinate_major_single_buffer(tmp_path, build):
 
 #: a round or a bound evaluation may allocate at most this many
 #: N x max(D, K) float64 arrays at once; measured at D10/K10/N1e5: em_round
-#: 2.1, em_m_step 1.1, sem_round 1.38, assemble_bounds 0.13, cov_bound 0.33
-#: (with rho), so one more full-size copy in any of them fails.
+#: 1.30, em_m_step 0.071, sem_round 1.30, assemble_bounds 0.19, cov_bound
+#: 0.20 (with rho), so one more full-size copy in any of them fails.
 #: em_m_step is measured on given responsibilities, so that it counts the
 #: M-step alone; cov_bound is measured after the report's EM update has been
 #: computed, so that it counts rho and the bound algebra alone
 PEAK_ARRAYS = {
-    "em_round": 2.5,
-    "em_m_step": 1.5,
+    "em_round": 1.5,
+    "em_m_step": 0.5,
     "sem_round": 2.0,
     "assemble_bounds": 1.0,
     "cov_bound": 1.0,
