@@ -11,12 +11,13 @@ from .model import (
     DegeneracyError,
     MixtureModel,
     PartialParams,
+    cholesky_screen,
     column_blocks,
     hard_means,
     hard_params,
 )
 from .rng import substream
-from .rounds import SemConfig, factorizable, finalize_model, fit_rounds, ridge_repair
+from .rounds import SemConfig, finalize_model, fit_rounds, ridge_repair
 
 #: a component whose responsibility mass falls below this fraction of N is degenerate
 DEGENERATE_FRACTION = 1e-12
@@ -116,17 +117,16 @@ def _em_params(
     # its largest spread, is a point mass: a ridge scaled to it cannot widen
     # it, and its inverse factor overflows the next E-step
     floor = data.d * (np.finfo(np.float64).eps * data.spread.max()) ** 2
-    degenerate: list[int] = []
-    for k in range(k_total):
-        if not live[k] or not np.trace(covs[k]) > floor:
-            degenerate.append(k)
-        elif not factorizable(covs[k]):
-            repaired = ridge_repair(covs[k])
-            if repaired is None:
-                degenerate.append(k)
-            else:
-                covs[k] = repaired
-    return PartialParams(means, covs, r.astype(np.float64)), degenerate
+    fit = live.copy()
+    fit[live] = np.trace(covs[live], axis1=1, axis2=2) > floor
+    # the fitted covariances that fail the screen are ridged, in ascending k
+    for k in np.flatnonzero(fit)[cholesky_screen(covs[fit])[1]]:
+        repaired = ridge_repair(covs[k])
+        if repaired is None:
+            fit[k] = False
+        else:
+            covs[k] = repaired
+    return PartialParams(means, covs, r.astype(np.float64)), np.flatnonzero(~fit).tolist()
 
 
 def em_m_step(resp: ResponsibilityMatrix, data: DataSet) -> MixtureModel:
@@ -140,11 +140,8 @@ def em_m_step(resp: ResponsibilityMatrix, data: DataSet) -> MixtureModel:
     partial, degenerate = _em_params(resp, data)
     if degenerate:
         raise DegeneracyError(degenerate[0], _DEGENERATE_MESSAGE)
-    # same normalization pipeline as finalize_model, so the hard-responsibility
-    # case matches the hard-assignment M-step bit for bit
-    weights = partial.counts / data.n
-    weights /= weights.sum()
-    return MixtureModel(weights, partial.means, partial.covariances)
+    # finalize_model's weights: hard responsibilities match the hard M-step bit for bit
+    return partial.mixture(data.n)
 
 
 def em_round(

@@ -44,6 +44,8 @@ class ResponsibilityMatrix:
     def check(self) -> str | None:
         """Re-verify the invariants; returns the first violation or None."""
         p = self.probs
+        if not np.isfinite(p).all():
+            return "responsibilities contain non-finite values"
         if (p < 0).any() or (p > 1).any():
             return "responsibilities outside [0, 1]"
         row_err = np.abs(p.sum(axis=1) - 1.0).max()

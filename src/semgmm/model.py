@@ -104,14 +104,28 @@ def validate_params(weights, means, covariances) -> str | None:
     return _checked_factors(weights, means, covariances)[0]
 
 
+def cholesky_screen(covs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The package's one Cholesky factorization: the lower factors of a
+    K x D x D stack from one batched call, or None when some matrix is not
+    positive definite, and the per-matrix failure mask.  Only when the
+    batched call fails is each matrix factored alone, to find which."""
+    failed = np.zeros(len(covs), dtype=bool)
+    try:
+        return np.linalg.cholesky(covs), failed
+    except np.linalg.LinAlgError:
+        for i, cov in enumerate(covs):
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                failed[i] = True
+    return None, failed
+
+
 def _checked_factors(weights, means, covariances) -> tuple[str | None, np.ndarray | None]:
     """validate_params' first violation, or None together with the lower
-    Cholesky factors of the covariances from one batched factorization.
-
-    Symmetry and positive definiteness are reported for the first failing
-    component, symmetry first; the component-by-component search runs only
-    when the batched factorization fails.
-    """
+    Cholesky factors of the covariances from cholesky_screen.  Symmetry and
+    positive definiteness are reported for the first failing component,
+    symmetry first."""
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     cov = np.asarray(covariances, dtype=np.float64)
@@ -138,18 +152,12 @@ def _checked_factors(weights, means, covariances) -> tuple[str | None, np.ndarra
     if abs(w.sum() - 1.0) > WEIGHT_DRIFT_TOL:
         return f"weights sum != 1 (sum = {w.sum()!r})", None
     asymmetric = np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL
-    first_asymmetric = int(np.argmax(asymmetric)) if asymmetric.any() else k
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        for i in range(first_asymmetric):
-            try:
-                np.linalg.cholesky(cov[i])
-            except np.linalg.LinAlgError:
-                return f"covariance {i} is not positive definite", None
-        chol = None
-    if first_asymmetric < k:
-        return f"covariance {first_asymmetric} is not symmetric", None
+    chol, failed = cholesky_screen(cov)
+    bad = asymmetric | failed
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "symmetric" if asymmetric[i] else "positive definite"
+        return f"covariance {i} is not {kind}", None
     return None, chol
 
 
@@ -220,7 +228,11 @@ class Assignment:
     """
 
     def __init__(self, labels, k: int):
-        lab = np.asarray(labels, dtype=np.int64)
+        lab = np.asarray(labels)
+        # the cast to int64 would truncate a label that is not a whole number
+        if lab.dtype.kind == "f" and not (np.isfinite(lab) & (lab == np.trunc(lab))).all():
+            raise DataError("labels must be whole numbers")
+        lab = lab.astype(np.int64, copy=False)
         if lab.ndim != 1:
             raise DataError("labels must be a 1-d sequence")
         if k < 1:
@@ -280,6 +292,15 @@ class PartialParams:
     means: np.ndarray
     covariances: np.ndarray
     counts: np.ndarray
+
+    def mixture(self, n: int, repaired=()) -> MixtureModel:
+        """The model of these parameters, once repaired, over N points: weights
+        counts/N, or max(c_k, 1)/N for a repaired component k, renormalized once."""
+        weights = self.counts / n
+        for k in repaired:
+            weights[k] = max(self.counts[k], 1.0) / n
+        weights /= weights.sum()
+        return MixtureModel(weights, self.means, self.covariances)
 
 
 def _rows_mle(xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

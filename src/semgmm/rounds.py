@@ -1,6 +1,6 @@
 """What the deterministic and stochastic rounds share: the run
-configuration and repair policies, the factorization test, degeneracy
-repair, and the fixed-round loop of every trajectory."""
+configuration and repair policies, degeneracy repair, and the fixed-round
+loop of every trajectory."""
 from __future__ import annotations
 
 from collections.abc import Iterator
@@ -8,7 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataError, DataSet, DegeneracyError, MixtureModel, PartialParams
+from .model import (
+    DataError, DataSet, DegeneracyError, MixtureModel, PartialParams, cholesky_screen
+)
 from .rng import check_seed
 
 RESAMPLE_POLICY = "resample_mean_fresh_covariance"
@@ -23,7 +25,7 @@ class SemConfig:
 
     zeta is the minimum number of points a component needs for its own MLE
     (None means D+1, sufficient for points in general linear position; the
-    Cholesky check remains the final arbiter and triggers repair regardless).
+    Cholesky screen remains the final arbiter and triggers repair regardless).
     """
 
     zeta: int | None = None
@@ -39,15 +41,6 @@ class SemConfig:
 
     def effective_zeta(self, d: int) -> int:
         return d + 1 if self.zeta is None else self.zeta
-
-
-def factorizable(cov: np.ndarray) -> bool:
-    """True when the matrix has a Cholesky factor (is positive definite)."""
-    try:
-        np.linalg.cholesky(cov)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 RIDGE_EPS_START = 1e-6
@@ -67,7 +60,7 @@ def ridge_repair(cov: np.ndarray) -> np.ndarray | None:
     eps = RIDGE_EPS_START
     while eps <= RIDGE_EPS_MAX:
         repaired = cov + (eps * scale) * np.eye(d)
-        if factorizable(repaired):
+        if cholesky_screen(repaired[None])[0] is not None:
             return repaired
         eps *= 2.0
     return None
@@ -92,9 +85,7 @@ def repair_component(
     """
     c_k = partial.counts[k]
     policy = cfg.repair_policy
-    if c_k < 2 and policy == BLEND_POLICY:
-        policy = RESAMPLE_POLICY
-    if c_k < 1:
+    if c_k < 1 or (c_k < 2 and policy == BLEND_POLICY):
         policy = RESAMPLE_POLICY
 
     if policy == KEEP_POLICY:
@@ -102,19 +93,14 @@ def repair_component(
 
     if policy == BLEND_POLICY:
         cov = 0.5 * partial.covariances[k] + 0.5 * prev.covariances[k]
-        if factorizable(cov):
+        if cholesky_screen(cov[None])[0] is not None:
             return partial.means[k].copy(), cov
-        policy = RESAMPLE_POLICY
 
-    # resample_mean_fresh_covariance
+    # resample_mean_fresh_covariance, or a blend that did not factor
     d = data.d
-    others = np.array(
-        [
-            partial.means[i] if np.isfinite(partial.means[i]).all() else prev.means[i]
-            for i in range(prev.k)
-            if i != k
-        ]
-    )
+    # the other components' means, the previous model's where they have none
+    finite = np.isfinite(partial.means).all(axis=1, keepdims=True)
+    others = np.delete(np.where(finite, partial.means, prev.means), k, axis=0)
     for _ in range(10):
         mu = data.points[int(rng.integers(data.n))].copy()
         if others.size:
@@ -140,14 +126,10 @@ def finalize_model(
     The repairs go into a copy of `partial`, which is left as it was given;
     each repair sees the components repaired before it.
     """
-    n = data.n
-    weights = partial.counts / n
     work = PartialParams(partial.means.copy(), partial.covariances.copy(), partial.counts)
     for k in degenerate:
         work.means[k], work.covariances[k] = repair_component(k, data, prev, work, cfg, rng)
-        weights[k] = max(partial.counts[k], 1.0) / n
-    weights /= weights.sum()
-    return MixtureModel(weights, work.means, work.covariances)
+    return work.mixture(data.n, degenerate)
 
 
 def check_rounds(rounds: int) -> None:

@@ -11,11 +11,12 @@ from .model import (
     DataSet,
     MixtureModel,
     PartialParams,
+    cholesky_screen,
     column_blocks,
     hard_params,
 )
 from .rng import substream
-from .rounds import SemConfig, factorizable, finalize_model, fit_rounds
+from .rounds import SemConfig, finalize_model, fit_rounds
 
 
 def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
@@ -100,16 +101,12 @@ def sem_m_step(
 
     Weights become counts/N and each component takes the Gaussian MLE of its
     own points; components with fewer than zeta points (or with a
-    non-factorizable covariance) are repaired before the weights are
-    renormalized.  `partial` is left as it was given.
+    covariance that fails the Cholesky screen) are repaired before the
+    weights are renormalized.  `partial` is left as it was given.
     """
-    zeta = cfg.effective_zeta(data.d)
-    degenerate = [
-        k
-        for k, c_k in enumerate(partial.counts)
-        if c_k < zeta or (c_k >= 1 and not factorizable(partial.covariances[k]))
-    ]
-    return finalize_model(partial, degenerate, data, prev, cfg, rng)
+    fit = partial.counts >= cfg.effective_zeta(data.d)
+    fit[np.flatnonzero(fit)[cholesky_screen(partial.covariances[fit])[1]]] = False
+    return finalize_model(partial, np.flatnonzero(~fit).tolist(), data, prev, cfg, rng)
 
 
 def _sample(weights, cfg: SemConfig, t: int) -> Assignment:

@@ -133,6 +133,13 @@ class TestResponsibilityMatrix:
         with pytest.raises(DataError, match="outside"):
             from_probs(np.array([[-0.1, 1.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_probs_non_finite(self, bad):
+        # every comparison with NaN is False: the range and row-sum checks
+        # alone let a NaN row through to the M-step
+        with pytest.raises(DataError, match="non-finite"):
+            from_probs(np.array([[bad, bad], [0.5, 0.5], [0.5, 0.5]]))
+
     def test_frozen_arrays(self):
         resp = from_probs(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):

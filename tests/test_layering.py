@@ -3,7 +3,9 @@ layer, no library module imports another module's private names, and none
 imports scipy, whose separately linked BLAS would start a second
 thread pool competing with numpy's for the cores.  Only semgmm.rng makes
 random generators, so every draw comes from a keyed substream, and only the
-round bodies of em and sem key a stream on a run's seed.  The benchmark's
+round bodies of em and sem key a stream on a run's seed.  Only the model's
+Cholesky screen factors a covariance, so positive definiteness has one
+test.  The benchmark's
 span boundaries name functions that exist, each bound to one object."""
 import ast
 import importlib
@@ -135,6 +137,48 @@ def f(rng: np.random.Generator) -> None: ...
     ])
     rng_source = (SRC / "rng.py").read_text(encoding="utf-8")
     assert "np.random.PCG64DXSM" in _numpy_random_uses(ast.parse(rng_source))
+
+
+def _cholesky_uses(tree):
+    """(top-level definition, use) of every reference to a Cholesky
+    factorization: any `cholesky` attribute, such as np.linalg.cholesky,
+    and any import of the name."""
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "cholesky":
+                yield where, ast.unparse(node)
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "cholesky" for a in node.names):
+                yield where, f"from {node.module} import cholesky"
+
+
+def test_cholesky_only_in_the_model_screen():
+    uses = {
+        path.name: list(_cholesky_uses(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    offenders = [
+        f"{name}: {use}" for name, found in uses.items() if name != "model.py" for _, use in found
+    ]
+    assert offenders == []
+    assert {where for where, _ in uses["model.py"]} == {"cholesky_screen"}
+
+
+def test_cholesky_check_sees_every_form():
+    source = """
+import numpy as np
+from numpy.linalg import cholesky
+def f(a):
+    return np.linalg.cholesky(a)
+class C:
+    def g(self, a):
+        return linalg.cholesky(a)
+"""
+    assert list(_cholesky_uses(ast.parse(source))) == [
+        ("<module>", "from numpy.linalg import cholesky"),
+        ("f", "np.linalg.cholesky"),
+        ("C", "linalg.cholesky"),
+    ]
 
 
 def _round_streams(tree):

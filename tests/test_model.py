@@ -25,10 +25,11 @@ from semgmm import (
 )
 from semgmm.em import em_round
 from semgmm.ingest import normalize
-from semgmm.model import component_log_joint, validate_params
+from semgmm.model import cholesky_screen, component_log_joint, validate_params
 from semgmm.rng import substream
 from semgmm.sem import sem_round
 
+from conftest import make_instance
 from oracles import gaussian_log_density
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -124,10 +125,10 @@ class TestMixtureModel:
             MixtureModel(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
 
     @pytest.mark.parametrize("round_fn", [em_round, sem_round])
-    def test_one_factorization_per_model(self, monkeypatch, small_instance, round_fn):
-        # K = 3: one factorability check per component in the M-step, then
-        # the model's one batched factorization
-        _, data, _, model0 = small_instance
+    def test_one_factorization_per_model(self, monkeypatch, round_fn):
+        # a round without degeneracy factors its covariances twice, each time
+        # in one batched call: the M-step's screen, then the model's own
+        # (K+1 calls when the M-step checked each component alone)
         calls = []
         cholesky = np.linalg.cholesky
 
@@ -136,9 +137,12 @@ class TestMixtureModel:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        model = round_fn(model0, data, SemConfig(rng_seed=3), 0)
-        assert model.k == 3
-        assert calls == [(2, 2)] * 3 + [(3, 2, 2)]
+        for d, k in ((2, 3), (10, 10)):
+            _, data, _, model0 = make_instance(11, d=d, k=k)
+            calls.clear()
+            model = round_fn(model0, data, SemConfig(rng_seed=3), 0)
+            assert model.k == k
+            assert calls == [(k, d, d)] * 2
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(InvalidModelError, match="positive"):
@@ -148,6 +152,27 @@ class TestMixtureModel:
 def random_spd(rng, d):
     a = rng.normal(size=(d, d))
     return a @ a.T + 0.1 * np.eye(d)
+
+
+class TestCholeskyScreen:
+    def test_factors_as_each_matrix_alone(self):
+        covs = np.stack([random_spd(substream(13, k), 4) for k in range(5)])
+        chol, failed = cholesky_screen(covs)
+        assert not failed.any()
+        for k in range(5):
+            np.testing.assert_array_equal(chol[k], np.linalg.cholesky(covs[k]))
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_fallback_names_the_failing_matrix(self, bad):
+        covs = np.stack([random_spd(substream(13, k), 4) for k in range(5)])
+        covs[bad] = np.diag([1.0, 1.0, 0.0, 1.0])
+        chol, failed = cholesky_screen(covs)
+        assert chol is None
+        assert np.flatnonzero(failed).tolist() == [bad]
+
+    def test_empty_stack(self):
+        chol, failed = cholesky_screen(np.zeros((0, 3, 3)))
+        assert chol.shape == (0, 3, 3) and failed.shape == (0,)
 
 
 class TestPrecisionFactor:
@@ -275,6 +300,16 @@ class TestAssignment:
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
             Assignment([0, 3], k=2)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 0.2], [0.0, np.nan], [np.inf, 0.0]])
+    def test_non_whole_labels_rejected(self, labels):
+        with pytest.raises(DataError, match="whole numbers"):
+            Assignment(labels, 2)
+
+    def test_whole_float_labels_accepted(self):
+        a = Assignment([0.0, 1.0, 1.0], 2)
+        np.testing.assert_array_equal(a.labels, [0, 1, 1])
+        np.testing.assert_array_equal(a.counts, [1, 2])
 
     @pytest.mark.parametrize("k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
     def test_labels_in_smallest_unsigned_type(self, k, dtype):

@@ -6,6 +6,7 @@ import pytest
 
 import semgmm.em
 import semgmm.rounds
+import semgmm.sem
 from semgmm import (
     Assignment,
     DataError,
@@ -23,7 +24,7 @@ from semgmm import (
 )
 from semgmm.em import em_m_step
 from semgmm.estep import from_probs, posterior_weights
-from semgmm.model import PartialParams, block_width, hard_means, hard_params
+from semgmm.model import PartialParams, block_width, cholesky_screen, hard_means, hard_params
 from semgmm.rng import substream
 from semgmm.rounds import POLICIES, finalize_model, repair_component
 from semgmm.synth import initialize
@@ -508,6 +509,59 @@ def repairs(monkeypatch):
     monkeypatch.setattr(semgmm.em, "ridge_repair", ridge_recording)
     monkeypatch.setattr(semgmm.rounds, "repair_component", component_recording)
     return events
+
+
+def line_in_the_middle(k=5, per=20):
+    """D2 points in k groups: group g is a normal cloud about (10 g, 0), but
+    group k // 2 lies on the x-axis, so any covariance of its points alone is
+    exactly [[v, 0], [0, 0]], which has no Cholesky factor."""
+    rng = substream(97)
+    groups = [rng.normal(size=(per, 2)) + [10.0 * g, 0.0] for g in range(k)]
+    groups[k // 2][:, 1] = 0.0
+    return DataSet(np.vstack(groups)), np.repeat(np.arange(k), per)
+
+
+class TestCholeskyScreenInTheMSteps:
+    """One covariance in the middle of the stack fails to factor: the screen
+    names exactly that component, and only it is repaired."""
+
+    def test_sem_repairs_exactly_the_failing_component(self, monkeypatch):
+        data, labels = line_in_the_middle()
+        partial = hard_params(Assignment(labels, 5), data)
+        prev = MixtureModel(np.full(5, 0.2), partial.means, [np.eye(2)] * 5)
+        seen = []
+
+        def recording(partial, degenerate, *args):
+            seen.append(degenerate)
+            return finalize_model(partial, degenerate, *args)
+
+        monkeypatch.setattr(semgmm.sem, "finalize_model", recording)
+        cfg = SemConfig(rng_seed=8)
+        model = sem_m_step(partial, data, prev, cfg, substream(98))
+        assert seen == [[2]]
+        expected = finalize_model(partial, [2], data, prev, cfg, substream(98))
+        for name in ("weights", "means", "covariances"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(expected, name))
+
+    def test_em_ridges_exactly_the_failing_component(self, repairs):
+        # soft rows: each point gives 3/4 to its own group and 1/4 to a
+        # neighbour, and only the line's own points give the line's
+        # component any weight, so its weighted covariance is [[v, 0], [0, 0]]
+        data, labels = line_in_the_middle()
+        rows = np.arange(data.n)
+        probs = np.zeros((data.n, 5))
+        probs[rows, labels] = 0.75
+        probs[rows, np.where(labels == 0, 1, 0)] += 0.25
+        probs[labels == 2] = [0.0, 0.25, 0.5, 0.25, 0.0]
+        partial, degenerate = semgmm.em._em_params(from_probs(probs), data)
+        assert degenerate == []
+        [raw] = repairs["ridge"]
+        assert raw[1, 1] == raw[0, 1] == 0.0 < raw[0, 0]
+        # the first ridge, 1e-6 of the covariance scale trace/D, factors it
+        ridged = raw + (1e-6 * np.trace(raw) / 2) * np.eye(2)
+        np.testing.assert_array_equal(partial.covariances[2], ridged)
+        others = [0, 1, 3, 4]
+        assert not cholesky_screen(partial.covariances[others])[1].any()
 
 
 class TestDegenerateData:
