@@ -151,9 +151,7 @@ def em_round(
     the (cfg.rng_seed, t) repair stream."""
     resp = responsibilities(model, data)
     partial, degenerate = _em_params(resp, data)
-    return finalize_model(
-        partial, degenerate, data, model, cfg, substream(cfg.rng_seed, t, 2)
-    )
+    return finalize_model(partial, degenerate, data, model, substream(cfg.rng_seed, t, 2))
 
 
 def em_fit(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ class ExperimentPlan:
     delta: float | None = None
     out_dir: str = "."
     n_jobs: int = 1
-    sem: SemConfig = field(default_factory=SemConfig)
 
     def __post_init__(self):
         check_k(self.k)
@@ -187,11 +186,11 @@ def _cell(v) -> str:
 
 
 def _sem_cfg(plan: ExperimentPlan, i: int, j: int) -> SemConfig:
-    return replace(plan.sem, rng_seed=derive_seed(plan.master_seed, _TAG_RUN, i, j))
+    return SemConfig(rng_seed=derive_seed(plan.master_seed, _TAG_RUN, i, j))
 
 
 def _em_cfg(plan: ExperimentPlan, i: int) -> SemConfig:
-    return replace(plan.sem, rng_seed=derive_seed(plan.master_seed, _TAG_EM, i))
+    return SemConfig(rng_seed=derive_seed(plan.master_seed, _TAG_EM, i))
 
 
 def _sweep(plan: ExperimentPlan, data: DataSet, per_run, per_init=None):

@@ -55,15 +55,20 @@ class DataSet:
     Stored coordinate-major: `points` is the N x D transposed view of one
     contiguous, read-only D x N buffer, so each coordinate's row
     points.T[d] is contiguous and every kernel runs over rows of length N.
-    A float64 input that is already F-contiguous is adopted without a copy;
-    the caller's own array stays writeable.
+    Complex, string, bytes and object input is a DataError.  A float64 input
+    that is already F-contiguous is adopted without a copy; the caller's own
+    array stays writeable.
 
     The spread of coordinate d is max_n (x_n)_d - min_n (x_n)_d; it is the
     scale unit for all proximity bounds and is computed lazily and cached.
     """
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=np.float64)
+        pts = np.asarray(points)
+        # a cast to float64 would drop an imaginary part or parse text
+        if pts.dtype.kind not in "biuf":
+            raise DataError(f"points must be real numbers, got dtype {pts.dtype}")
+        pts = pts.astype(np.float64, copy=False)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
@@ -94,16 +99,6 @@ class DataSet:
         return f"DataSet(n={self.n}, d={self.d})"
 
 
-def validate_params(weights, means, covariances) -> str | None:
-    """Check mixture invariants on raw arrays; return the first violation or None.
-
-    Checks finiteness, positivity and sum of the weights (within the
-    construction drift tolerance), covariance symmetry and positive
-    definiteness (via Cholesky).
-    """
-    return _checked_factors(weights, means, covariances)[0]
-
-
 def cholesky_screen(covs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """The package's one Cholesky factorization: the lower factors of a
     K x D x D stack from one batched call, or None when some matrix is not
@@ -122,10 +117,10 @@ def cholesky_screen(covs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
 
 
 def _checked_factors(weights, means, covariances) -> tuple[str | None, np.ndarray | None]:
-    """validate_params' first violation, or None together with the lower
-    Cholesky factors of the covariances from cholesky_screen.  Symmetry and
-    positive definiteness are reported for the first failing component,
-    symmetry first."""
+    """The first violated mixture invariant of raw arrays, or None together
+    with the lower Cholesky factors of the covariances from cholesky_screen.
+    Symmetry and positive definiteness are reported for the first failing
+    component, symmetry first."""
     w = np.asarray(weights, dtype=np.float64)
     mu = np.asarray(means, dtype=np.float64)
     cov = np.asarray(covariances, dtype=np.float64)
@@ -215,7 +210,7 @@ def validate(model: MixtureModel) -> str | None:
     w = model.weights
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         return f"weights sum != 1 (sum = {w.sum()!r})"
-    return validate_params(w, model.means, model.covariances)
+    return _checked_factors(w, model.means, model.covariances)[0]
 
 
 class Assignment:
@@ -224,14 +219,18 @@ class Assignment:
     `labels` holds 0-based component indices in the smallest unsigned type
     that holds K - 1, which lets group_order sort them by radix; `counts[k]`
     is the number of points assigned to component k and always sums to N.
-    Both are read-only.
+    Both are read-only.  Integer labels are taken, and float labels that are
+    whole numbers; labels of any other dtype are a DataError.
     """
 
     def __init__(self, labels, k: int):
         lab = np.asarray(labels)
-        # the cast to int64 would truncate a label that is not a whole number
-        if lab.dtype.kind == "f" and not (np.isfinite(lab) & (lab == np.trunc(lab))).all():
-            raise DataError("labels must be whole numbers")
+        # a cast to int64 would truncate a fraction, drop an imaginary part or parse text
+        if lab.dtype.kind == "f":
+            if not (np.isfinite(lab) & (lab == np.trunc(lab))).all():
+                raise DataError("labels must be whole numbers")
+        elif lab.dtype.kind not in "iu":
+            raise DataError(f"labels must be integers, got dtype {lab.dtype}")
         lab = lab.astype(np.int64, copy=False)
         if lab.ndim != 1:
             raise DataError("labels must be a 1-d sequence")

@@ -1,6 +1,6 @@
 """What the deterministic and stochastic rounds share: the run
-configuration and repair policies, degeneracy repair, and the fixed-round
-loop of every trajectory."""
+configuration, degeneracy repair, and the fixed-round loop of every
+trajectory."""
 from __future__ import annotations
 
 from collections.abc import Iterator
@@ -13,34 +13,16 @@ from .model import (
 )
 from .rng import check_seed
 
-RESAMPLE_POLICY = "resample_mean_fresh_covariance"
-BLEND_POLICY = "blend_with_previous"
-KEEP_POLICY = "keep_previous_covariance"
-POLICIES = (RESAMPLE_POLICY, BLEND_POLICY, KEEP_POLICY)
-
 
 @dataclass(frozen=True)
 class SemConfig:
-    """Configuration of a stochastic EM run.
+    """Configuration of a run: the seed its sampling and repair streams
+    derive from."""
 
-    zeta is the minimum number of points a component needs for its own MLE
-    (None means D+1, sufficient for points in general linear position; the
-    Cholesky screen remains the final arbiter and triggers repair regardless).
-    """
-
-    zeta: int | None = None
-    repair_policy: str = RESAMPLE_POLICY
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.zeta is not None and self.zeta < 1:
-            raise ValueError("zeta must be >= 1")
-        if self.repair_policy not in POLICIES:
-            raise ValueError(f"unknown repair policy {self.repair_policy!r}")
         check_seed(self.rng_seed)
-
-    def effective_zeta(self, d: int) -> int:
-        return d + 1 if self.zeta is None else self.zeta
 
 
 RIDGE_EPS_START = 1e-6
@@ -71,32 +53,11 @@ def repair_component(
     data: DataSet,
     prev: MixtureModel,
     partial: PartialParams,
-    cfg: SemConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Replace the parameters of a degenerate component.
-
-    Empty components (no assigned mass) are always re-seeded by drawing a new
-    mean from the data and giving it a fresh spherical covariance scaled by
-    the squared distance to the nearest other mean.  Components with some but
-    too few points follow cfg.repair_policy: re-seed, blend the
-    under-determined covariance 50/50 with the previous one, or keep the
-    previous covariance outright.
-    """
-    c_k = partial.counts[k]
-    policy = cfg.repair_policy
-    if c_k < 1 or (c_k < 2 and policy == BLEND_POLICY):
-        policy = RESAMPLE_POLICY
-
-    if policy == KEEP_POLICY:
-        return partial.means[k].copy(), prev.covariances[k].copy()
-
-    if policy == BLEND_POLICY:
-        cov = 0.5 * partial.covariances[k] + 0.5 * prev.covariances[k]
-        if cholesky_screen(cov[None])[0] is not None:
-            return partial.means[k].copy(), cov
-
-    # resample_mean_fresh_covariance, or a blend that did not factor
+    """Re-seed a degenerate component: a new mean drawn from the data, with
+    a fresh spherical covariance scaled by the squared distance to the
+    nearest other mean."""
     d = data.d
     # the other components' means, the previous model's where they have none
     finite = np.isfinite(partial.means).all(axis=1, keepdims=True)
@@ -118,7 +79,6 @@ def finalize_model(
     degenerate: list[int],
     data: DataSet,
     prev: MixtureModel,
-    cfg: SemConfig,
     rng: np.random.Generator,
 ) -> MixtureModel:
     """Repair all degenerate components, then renormalize weights once.
@@ -128,7 +88,7 @@ def finalize_model(
     """
     work = PartialParams(partial.means.copy(), partial.covariances.copy(), partial.counts)
     for k in degenerate:
-        work.means[k], work.covariances[k] = repair_component(k, data, prev, work, cfg, rng)
+        work.means[k], work.covariances[k] = repair_component(k, data, prev, work, rng)
     return work.mixture(data.n, degenerate)
 
 

@@ -93,20 +93,20 @@ def sem_m_step(
     partial: PartialParams,
     data: DataSet,
     prev: MixtureModel,
-    cfg: SemConfig,
     rng: np.random.Generator,
 ) -> MixtureModel:
     """Maximize the complete-data likelihood for a fixed assignment, given
     its hard_params.
 
     Weights become counts/N and each component takes the Gaussian MLE of its
-    own points; components with fewer than zeta points (or with a
-    covariance that fails the Cholesky screen) are repaired before the
-    weights are renormalized.  `partial` is left as it was given.
+    own points; components with fewer than D+1 points (too few for a
+    covariance of full rank) or with a covariance that fails the Cholesky
+    screen are re-seeded before the weights are renormalized.  `partial` is
+    left as it was given.
     """
-    fit = partial.counts >= cfg.effective_zeta(data.d)
+    fit = partial.counts >= data.d + 1
     fit[np.flatnonzero(fit)[cholesky_screen(partial.covariances[fit])[1]]] = False
-    return finalize_model(partial, np.flatnonzero(~fit).tolist(), data, prev, cfg, rng)
+    return finalize_model(partial, np.flatnonzero(~fit).tolist(), data, prev, rng)
 
 
 def _sample(weights, cfg: SemConfig, t: int) -> Assignment:
@@ -120,7 +120,7 @@ def _hard_step(
     """Round t's hard-assignment M-step from `model`, repairing on
     (cfg.rng_seed, t, 1); returns what sem_step returns."""
     partial = hard_params(assign, data)
-    return partial, sem_m_step(partial, data, model, cfg, substream(cfg.rng_seed, t, 1))
+    return partial, sem_m_step(partial, data, model, substream(cfg.rng_seed, t, 1))
 
 
 def sem_step(

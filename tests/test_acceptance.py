@@ -264,7 +264,7 @@ def test_criterion_09_proximity_at_scale(tmp_path):
 def test_criterion_10_degeneracy_repair(monkeypatch):
     started = time.perf_counter()
     # adversarial truth: one component carries weight 0.001, so its sampled
-    # point count falls below zeta = D+1 and must be repaired
+    # point count falls below D+1 and must be repaired
     rng = substream(500)
     k, d, n = 5, 2, 1000
     weights = np.array([0.001, 0.24975, 0.24975, 0.24975, 0.24975])

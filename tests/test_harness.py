@@ -340,15 +340,15 @@ def force_exclusion(monkeypatch, plan, i, j, error=None):
     DegeneracyError(0, "forced"))."""
     # the run's stream, (master, 2, i, j) in the harness's seeding layout
     target = derive_seed(plan.master_seed, 2, i, j)
-    real = semgmm.sem.sem_m_step
+    real = semgmm.sem._hard_step
     error = DegeneracyError(0, "forced") if error is None else error
 
-    def m_step(partial, data, prev, cfg, rng):
+    def hard_step(assign, data, model, cfg, t):
         if cfg.rng_seed == target:
             raise error
-        return real(partial, data, prev, cfg, rng)
+        return real(assign, data, model, cfg, t)
 
-    monkeypatch.setattr(semgmm.sem, "sem_m_step", m_step)
+    monkeypatch.setattr(semgmm.sem, "_hard_step", hard_step)
 
 
 class CallLog:

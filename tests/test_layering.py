@@ -5,7 +5,7 @@ thread pool competing with numpy's for the cores.  Only semgmm.rng makes
 random generators, so every draw comes from a keyed substream, and only the
 round bodies of em and sem key a stream on a run's seed.  Only the model's
 Cholesky screen factors a covariance, so positive definiteness has one
-test.  The benchmark's
+test.  No function takes a parameter that it never reads.  The benchmark's
 span boundaries name functions that exist, each bound to one object."""
 import ast
 import importlib
@@ -179,6 +179,58 @@ class C:
         ("f", "np.linalg.cholesky"),
         ("C", "linalg.cholesky"),
     ]
+
+
+def _unread_parameters(tree):
+    """(function, parameter) of every parameter, self and *args alike, that
+    its function's body never reads; a read in a nested function or lambda
+    counts."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            yield from ((name, p.arg) for p in params if p.arg not in read)
+
+
+#: unread parameters kept on purpose, with the reason
+UNREAD_ALLOWED = {
+    "bounds.py: monte_carlo_violation_rate(batch)": "bench/workloads.py passes it",
+}
+
+
+def test_every_parameter_is_read():
+    found = {
+        f"{path.name}: {function}({param})"
+        for path in sorted(SRC.glob("*.py"))
+        for function, param in _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set(UNREAD_ALLOWED)
+
+
+def test_unread_parameter_check_sees_every_form():
+    source = """
+def f(a, b, *args, c, d=1, **kw):
+    return a + c
+def g(x, y):
+    def inner(z):
+        return y
+    return inner
+class C:
+    def m(self, cfg):
+        return self
+h = lambda u, v: u
+"""
+    assert sorted(_unread_parameters(ast.parse(source))) == sorted([
+        ("f", "b"), ("f", "args"), ("f", "d"), ("f", "kw"),
+        ("g", "x"), ("inner", "z"), ("m", "cfg"), ("<lambda>", "v"),
+    ])
 
 
 def _round_streams(tree):

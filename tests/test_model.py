@@ -25,7 +25,7 @@ from semgmm import (
 )
 from semgmm.em import em_round
 from semgmm.ingest import normalize
-from semgmm.model import cholesky_screen, component_log_joint, validate_params
+from semgmm.model import cholesky_screen, component_log_joint
 from semgmm.rng import substream
 from semgmm.sem import sem_round
 
@@ -64,6 +64,24 @@ class TestDataSet:
         with pytest.raises(DataError):
             DataSet(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("points", [
+        np.array([[1.0 + 0.5j], [0.0]]),
+        np.array([["1"], ["0"]]),
+        np.array([[b"1"], [b"0"]]),
+        np.array([[1.0], [0.0]], dtype=object),
+        [[1 + 2j, 3.0], [0.0, 1.0]],
+    ])
+    def test_rejects_values_that_are_not_real_numbers(self, points):
+        # a cast to float64 would drop the imaginary part or parse the text
+        with pytest.raises(DataError, match="real numbers"):
+            DataSet(points)
+
+    def test_integer_and_boolean_points_taken(self):
+        data = DataSet(np.array([[1, 0], [3, 1]], dtype=np.int32))
+        np.testing.assert_array_equal(data.points, [[1.0, 0.0], [3.0, 1.0]])
+        assert data.points.dtype == np.float64
+        np.testing.assert_array_equal(DataSet([[True], [False]]).points, [[1.0], [0.0]])
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_caller_array_stays_writeable(self, order):
         x = np.zeros((3, 2), order=order)
@@ -95,13 +113,13 @@ class TestMixtureModel:
         q = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
         bad = q @ np.diag([1.0, -0.1]) @ q.T
         bad = 0.5 * (bad + bad.T)
-        msg = validate_params([1.0], [[0.0, 0.0]], [bad[None]][0].reshape(1, 2, 2))
-        assert msg is not None and "positive definite" in msg
+        with pytest.raises(InvalidModelError, match="positive definite"):
+            MixtureModel([1.0], [[0.0, 0.0]], bad[None])
 
     def test_validate_params_asymmetric(self):
         cov = np.array([[[1.0, 0.5], [0.2, 1.0]]])
-        msg = validate_params([1.0], [[0.0, 0.0]], cov)
-        assert msg is not None and "symmetric" in msg
+        with pytest.raises(InvalidModelError, match="symmetric"):
+            MixtureModel([1.0], [[0.0, 0.0]], cov)
 
     @pytest.mark.parametrize("kinds, message", [
         ("ok pd- asym", "covariance 1 is not positive definite"),
@@ -120,7 +138,6 @@ class TestMixtureModel:
             "both": np.array([[1.0, 0.5], [0.2, -1.0]]),
         }
         covs = np.stack([cov[kind] for kind in kinds.split()])
-        assert validate_params(np.full(3, 1 / 3), np.zeros((3, 2)), covs) == message
         with pytest.raises(InvalidModelError, match=message):
             MixtureModel(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
 
@@ -304,6 +321,18 @@ class TestAssignment:
     @pytest.mark.parametrize("labels", [[0.5, 1.7, 0.2], [0.0, np.nan], [np.inf, 0.0]])
     def test_non_whole_labels_rejected(self, labels):
         with pytest.raises(DataError, match="whole numbers"):
+            Assignment(labels, 2)
+
+    @pytest.mark.parametrize("labels", [
+        np.array(["1", "0"]),
+        np.array([b"1", b"0"]),
+        np.array([1 + 0.5j, 0]),
+        np.array([True, False]),
+        np.array([1, 0], dtype=object),
+    ])
+    def test_labels_that_are_not_numbers_rejected(self, labels):
+        # a cast to int64 would parse the text or drop the imaginary part
+        with pytest.raises(DataError, match="integers"):
             Assignment(labels, 2)
 
     def test_whole_float_labels_accepted(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from semgmm.em import em_m_step
 from semgmm.estep import from_probs, posterior_weights
 from semgmm.model import PartialParams, block_width, cholesky_screen, hard_means, hard_params
 from semgmm.rng import substream
-from semgmm.rounds import POLICIES, finalize_model, repair_component
+from semgmm.rounds import finalize_model, repair_component
 from semgmm.synth import initialize
 
 from conftest import make_instance, separated_instance
@@ -34,21 +35,10 @@ from oracles import component_mle, row_cdf_labels
 
 
 class TestSemConfig:
-    def test_default_zeta_is_d_plus_one(self):
-        cfg = SemConfig()
-        assert cfg.effective_zeta(3) == 4
-        assert cfg.effective_zeta(1) == 2
-
-    def test_explicit_zeta(self):
-        assert SemConfig(zeta=7).effective_zeta(3) == 7
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            SemConfig(repair_policy="nonsense")
-
-    def test_bad_zeta_rejected(self):
-        with pytest.raises(ValueError, match="zeta"):
-            SemConfig(zeta=0)
+    def test_seed_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(SemConfig)] == ["rng_seed"]
+        with pytest.raises(ValueError, match="seed"):
+            SemConfig(rng_seed=-1)
 
 
 class TestComponentMle:
@@ -300,9 +290,7 @@ class TestSemMStep:
         prev = MixtureModel(
             [0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [np.eye(2)] * 2
         )
-        model = sem_m_step(
-            hard_params(assign, data), data, prev, SemConfig(), substream(56, 1)
-        )
+        model = sem_m_step(hard_params(assign, data), data, prev, substream(56, 1))
         for k in range(2):
             mu, cov = component_mle(data.points[labels == k])
             np.testing.assert_array_equal(model.means[k], mu)
@@ -312,7 +300,9 @@ class TestSemMStep:
             )
 
     def test_small_component_repaired(self):
-        # component 1 gets a single point: fewer than zeta = D+1 = 3
+        # component 1 gets a single point: fewer than D+1 = 3; it is
+        # re-seeded onto a data point with the covariance I dist^2 / (2D),
+        # dist the distance to the other component's mean
         rng = substream(57)
         pts = rng.normal(size=(50, 2))
         labels = np.zeros(50, dtype=int)
@@ -320,57 +310,39 @@ class TestSemMStep:
         prev = MixtureModel([0.5, 0.5], [[0.0, 0.0], [3.0, 3.0]], [np.eye(2)] * 2)
         data = DataSet(pts)
         partial = hard_params(Assignment(labels, 2), data)
-        model = sem_m_step(partial, data, prev, SemConfig(), rng)
+        model = sem_m_step(partial, data, prev, rng)
         assert validate(model) is None
+        assert (model.means[1] == pts).all(axis=1).any()
+        np.testing.assert_array_equal(model.means[0], partial.means[0])
+        dist2 = ((model.means[1] - partial.means[0]) ** 2).sum()
+        np.testing.assert_allclose(model.covariances[1], np.eye(2) * dist2 / 4.0, rtol=1e-15)
 
-    def test_keep_policy_preserves_covariance(self):
-        rng = substream(58)
-        pts = rng.normal(size=(50, 2))
-        labels = np.zeros(50, dtype=int)
-        labels[:2] = 1  # 2 points < zeta = 3 but enough for a mean
-        prev_cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        prev = MixtureModel(
-            [0.5, 0.5], [[0.0, 0.0], [3.0, 3.0]], [np.eye(2), prev_cov]
-        )
-        cfg = SemConfig(repair_policy="keep_previous_covariance")
+    @pytest.mark.parametrize("count, kept", [(2, False), (3, True)])
+    def test_fewer_than_d_plus_one_points_repaired(self, count, kept):
+        # D 2: component 1 holds D points, or D+1 in general position.  The
+        # D points' covariance has rank 1 but factors through rounding, so
+        # only the point count can send it to repair
+        own = np.vstack([substream(63, 17).normal(size=(2, 2)) + 5.0, [[5.0, 3.0]]])[:count]
+        pts = np.vstack([substream(62).normal(size=(40, 2)), own])
+        labels = np.repeat([0, 1], [40, count])
+        prev = MixtureModel([0.5, 0.5], [[0.0, 0.0], [5.0, 5.0]], [np.eye(2)] * 2)
         data = DataSet(pts)
         partial = hard_params(Assignment(labels, 2), data)
-        model = sem_m_step(partial, data, prev, cfg, rng)
-        np.testing.assert_array_equal(model.covariances[1], prev_cov)
-        mu, _ = component_mle(pts[:2])
-        np.testing.assert_array_equal(model.means[1], mu)
-
-    def test_blend_policy_averages(self):
-        rng = substream(59)
-        pts = rng.normal(size=(50, 3))
-        labels = np.zeros(50, dtype=int)
-        labels[:3] = 1  # 3 points < zeta = 4, c_k >= 2 so blending is allowed
-        prev_cov = np.eye(3) * 2.0
-        prev = MixtureModel(
-            [0.5, 0.5], [np.zeros(3), np.ones(3)], [np.eye(3), prev_cov]
-        )
-        cfg = SemConfig(repair_policy="blend_with_previous")
-        data = DataSet(pts)
-        partial = hard_params(Assignment(labels, 2), data)
-        model = sem_m_step(partial, data, prev, cfg, rng)
-        _, raw_cov = component_mle(pts[:3])
-        np.testing.assert_allclose(
-            model.covariances[1], 0.5 * raw_cov + 0.5 * prev_cov, rtol=1e-12
-        )
+        assert cholesky_screen(partial.covariances)[0] is not None
+        model = sem_m_step(partial, data, prev, substream(62, 1))
+        assert validate(model) is None
+        mu, cov = component_mle(own)
+        assert bool((model.means[1] == mu).all() and (model.covariances[1] == cov).all()) is kept
 
     def test_empty_component_resampled(self):
         rng = substream(60)
         pts = rng.normal(size=(40, 2))
         labels = np.zeros(40, dtype=int)  # component 1 empty
         prev = MixtureModel([0.5, 0.5], [[0.0, 0.0], [5.0, 5.0]], [np.eye(2)] * 2)
-        for pi, policy in enumerate(
-            ("resample_mean_fresh_covariance", "blend_with_previous",
-             "keep_previous_covariance")
-        ):
+        for pi in range(3):
             data = DataSet(pts)
             model = sem_m_step(
-                hard_params(Assignment(labels, 2), data), data, prev,
-                SemConfig(repair_policy=policy), substream(60, pi)
+                hard_params(Assignment(labels, 2), data), data, prev, substream(60, pi)
             )
             assert validate(model) is None
             # resampled mean is an actual data point
@@ -383,7 +355,7 @@ class TestRepairLeavesInputAlone:
 
     @staticmethod
     def two_degenerate():
-        # component 0 holds 49 points, component 1 one (below zeta = 3) and
+        # component 0 holds 49 points, component 1 one (below D+1 = 3) and
         # component 2 none
         pts = substream(64).normal(size=(50, 2))
         labels = np.zeros(50, dtype=int)
@@ -394,16 +366,15 @@ class TestRepairLeavesInputAlone:
         data = DataSet(pts)
         return data, prev, hard_params(Assignment(labels, 3), data)
 
-    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("entry", ["sem_m_step", "finalize_model"])
-    def test_partial_unchanged(self, entry, policy):
+    def test_partial_unchanged(self, entry):
         data, prev, partial = self.two_degenerate()
         given = copy.deepcopy(partial)
-        cfg, rng = SemConfig(repair_policy=policy), substream(64, 1)
+        rng = substream(64, 1)
         if entry == "sem_m_step":
-            model = sem_m_step(partial, data, prev, cfg, rng)
+            model = sem_m_step(partial, data, prev, rng)
         else:
-            model = finalize_model(partial, [1, 2], data, prev, cfg, rng)
+            model = finalize_model(partial, [1, 2], data, prev, rng)
         assert validate(model) is None
         for name in ("means", "covariances", "counts"):
             np.testing.assert_array_equal(getattr(partial, name), getattr(given, name))
@@ -414,7 +385,7 @@ class TestRepairLeavesInputAlone:
         # other mean, which counts component 1's new mean, not the previous
         # model's mean far away
         data, prev, partial = self.two_degenerate()
-        model = sem_m_step(partial, data, prev, SemConfig(), substream(64, 1))
+        model = sem_m_step(partial, data, prev, substream(64, 1))
         means = model.means
         for k in (1, 2):
             assert (means[k] == data.points).all(axis=1).any()
@@ -438,9 +409,7 @@ class TestRepairComponent:
             counts=np.array([2.0, 0.0]),
         )
         partial.covariances[0] = np.eye(2)
-        mu, cov = repair_component(
-            1, data, prev, partial, SemConfig(), substream(61)
-        )
+        mu, cov = repair_component(1, data, prev, partial, substream(61))
         dist2 = ((mu - partial.means[0]) ** 2).sum()
         np.testing.assert_allclose(cov, np.eye(2) * dist2 / 4.0, rtol=1e-12)
 
@@ -536,10 +505,9 @@ class TestCholeskyScreenInTheMSteps:
             return finalize_model(partial, degenerate, *args)
 
         monkeypatch.setattr(semgmm.sem, "finalize_model", recording)
-        cfg = SemConfig(rng_seed=8)
-        model = sem_m_step(partial, data, prev, cfg, substream(98))
+        model = sem_m_step(partial, data, prev, substream(98))
         assert seen == [[2]]
-        expected = finalize_model(partial, [2], data, prev, cfg, substream(98))
+        expected = finalize_model(partial, [2], data, prev, substream(98))
         for name in ("weights", "means", "covariances"):
             np.testing.assert_array_equal(getattr(model, name), getattr(expected, name))
 
@@ -613,6 +581,6 @@ class TestDegenerateData:
                 except (DataError, DegeneracyError):
                     continue
                 assert np.isnan(cov_bound[~report.applicable]).all()
-        # a sampled component of at most D+2 points is below zeta = D+1 or
+        # a sampled component of at most D+2 points is below D+1 or
         # leaves another one below it
         assert repairs["component"]
