@@ -22,7 +22,9 @@ from .model import DataError, DegeneracyError, InvalidModelError
 from .rng import check_seed, substream
 from .rounds import SemConfig, check_rounds
 from .sem import sem_fit
-from .synth import GenSpec, check_k, generate_mixture, initialize, sample_dataset
+from .synth import (
+    GenerationError, GenSpec, check_k, generate_mixture, initialize, sample_dataset
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,27 +59,32 @@ def _build_parser() -> _Parser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--weight-mode", choices=("balanced", "unbalanced"), default="balanced")
     g.add_argument("--overlap", type=float, default=1.5)
+    g.set_defaults(run=_cmd_gen)
 
     i = sub.add_parser("init", parents=[with_k], help="draw an initial model from a data set")
     i.add_argument("--data", type=Path, required=True)
+    i.set_defaults(run=_cmd_init)
 
     nrm = sub.add_parser("normalize", parents=[with_out], help="min-max normalize a data set to [0, 1]")
     nrm.add_argument("--data", type=Path, required=True)
+    nrm.set_defaults(run=_cmd_normalize)
 
-    for name in ("fit-em", "fit-sem"):
+    for name, fit in (("fit-em", em_fit), ("fit-sem", sem_fit)):
         f = sub.add_parser(name, parents=[with_seed], help=f"run {name.split('-')[1]} for a fixed round count")
         f.add_argument("--data", type=Path, required=True)
         f.add_argument("--model", type=Path, required=True)
         f.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
+        f.set_defaults(run=_cmd_fit, fit=fit)
 
     # the experiment commands add --rounds, --inits and --runs unset, so
     # that an explicit value can be told from a default when --profile is given
-    for name, hlp in (
-        ("compare", "paired likelihood and difference traces"),
-        ("bounds", "bound-vs-actual mean distance trace"),
-        ("speed", "multiplication-count and wall-clock trace"),
+    for name, experiment, hlp in (
+        ("compare", run_compare_experiment, "paired likelihood and difference traces"),
+        ("bounds", run_bound_experiment, "bound-vs-actual mean distance trace"),
+        ("speed", run_speed_experiment, "multiplication-count and wall-clock trace"),
     ):
         c = sub.add_parser(name, parents=[with_k], help=hlp)
+        c.set_defaults(run=_cmd_experiment, experiment=experiment)
         c.add_argument("--data", type=Path, default=None)
         c.add_argument("--gen", metavar="D,K,N", default=None,
                        help="synthesize data instead of loading --data")
@@ -89,6 +96,8 @@ def _build_parser() -> _Parser:
         c.add_argument("--profile", choices=("ci", "full"), default=None)
         if name == "bounds":
             c.add_argument("--delta", type=float, default=None)
+        else:
+            c.set_defaults(delta=None)
     return p
 
 
@@ -106,7 +115,7 @@ def _checked(build, **flags):
         _usage_error(str(exc))
 
 
-def _experiment_plan(args, delta: float | None = None) -> ExperimentPlan:
+def _experiment_plan(args) -> ExperimentPlan:
     if (args.data is None) == (args.gen is None):
         _usage_error("give exactly one of --data or --gen")
     budget = (args.inits, args.runs, args.rounds)
@@ -129,7 +138,7 @@ def _experiment_plan(args, delta: float | None = None) -> ExperimentPlan:
         n_inits=DEFAULT_INITS if args.inits is None else args.inits,
         runs_per_init=DEFAULT_RUNS if args.runs is None else args.runs,
         master_seed=args.seed,
-        delta=delta,
+        delta=args.delta,
         out_dir=str(args.out),
         n_jobs=args.jobs,
     )
@@ -176,52 +185,30 @@ def _cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(args, fit) -> int:
+def _cmd_fit(args) -> int:
     _checked(check_rounds, rounds=args.rounds)
     cfg = _checked(SemConfig, rng_seed=args.seed)
     data = load_csv(args.data)
     model0 = load_model(args.model)
-    traj = fit(model0, data, args.rounds, cfg)
+    traj = args.fit(model0, data, args.rounds, cfg)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     save_model(traj[-1] if traj else model0, out / "final_model.txt")
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    run_compare_experiment(_experiment_plan(args))
-    return EXIT_OK
-
-
-def _cmd_bounds(args) -> int:
-    run_bound_experiment(_experiment_plan(args, delta=args.delta))
-    return EXIT_OK
-
-
-def _cmd_speed(args) -> int:
-    run_speed_experiment(_experiment_plan(args))
+def _cmd_experiment(args) -> int:
+    args.experiment(_experiment_plan(args))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "init":
-            return _cmd_init(args)
-        if args.command == "normalize":
-            return _cmd_normalize(args)
-        if args.command == "fit-em":
-            return _cmd_fit(args, em_fit)
-        if args.command == "fit-sem":
-            return _cmd_fit(args, sem_fit)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "speed":
-            return _cmd_speed(args)
+        return args.run(args)
+    except GenerationError as exc:
+        # the flags ask for a mixture that cannot be placed
+        print(f"semgmm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, InvalidModelError, OSError) as exc:
         print(f"semgmm: data error: {exc}", file=sys.stderr)

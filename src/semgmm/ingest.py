@@ -230,11 +230,9 @@ def normalize(data: DataSet) -> tuple[DataSet, NormalizationRecord]:
     Zero-spread coordinates are kept (as constant 0) and flagged rather than
     dropped, so D and every downstream bound stay unchanged.
     """
-    lo = data.points.min(axis=0)
-    hi = data.points.max(axis=0)
-    spread = hi - lo
-    degenerate = spread == 0.0
-    scale = np.where(degenerate, 1.0, spread)
+    lo = data.points.T.min(axis=1)
+    degenerate = data.spread == 0.0
+    scale = np.where(degenerate, 1.0, data.spread)
     points = (data.points - lo) / scale
     record = NormalizationRecord(offset=lo, scale=scale, degenerate=degenerate)
     return DataSet(points), record

@@ -55,16 +55,19 @@ class DataSet:
     Stored coordinate-major: `points` is the N x D transposed view of one
     contiguous, read-only D x N buffer, so each coordinate's row
     points.T[d] is contiguous and every kernel runs over rows of length N.
-    Complex, string, bytes and object input is a DataError.  A float64 input
-    that is already F-contiguous is adopted without a copy; the caller's own
-    array stays writeable.
+    Ragged rows and complex, string, bytes and object input are a DataError.
+    A float64 input that is already F-contiguous is adopted without a copy;
+    the caller's own array stays writeable.
 
     The spread of coordinate d is max_n (x_n)_d - min_n (x_n)_d; it is the
     scale unit for all proximity bounds and is computed lazily and cached.
     """
 
     def __init__(self, points):
-        pts = np.asarray(points)
+        try:
+            pts = np.asarray(points)
+        except ValueError:
+            raise DataError("points must be a rectangular array (ragged rows)") from None
         # a cast to float64 would drop an imaginary part or parse text
         if pts.dtype.kind not in "biuf":
             raise DataError(f"points must be real numbers, got dtype {pts.dtype}")

@@ -48,6 +48,21 @@ def ridge_repair(cov: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def seeded_covariance(mu: np.ndarray, others: np.ndarray, data: DataSet) -> np.ndarray | None:
+    """The seeding rule of every fresh component: I * dist2 / (2D), where
+    dist2 is the squared distance from `mu` to the nearest row of `others`,
+    or, with no others, the data's mean squared distance to `mu` (which
+    keeps the data's scale).  None when dist2 is 0."""
+    d = data.d
+    if others.size:
+        dist2 = float(((others - mu) ** 2).sum(axis=1).min())
+    else:
+        dist2 = float(((data.points - mu) ** 2).sum(axis=1).mean())
+    if dist2 > 0.0:
+        return np.eye(d) * (dist2 / (2.0 * d))
+    return None
+
+
 def repair_component(
     k: int,
     data: DataSet,
@@ -56,21 +71,15 @@ def repair_component(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-seed a degenerate component: a new mean drawn from the data, with
-    a fresh spherical covariance scaled by the squared distance to the
-    nearest other mean."""
-    d = data.d
+    the seeded_covariance of the other means."""
     # the other components' means, the previous model's where they have none
     finite = np.isfinite(partial.means).all(axis=1, keepdims=True)
     others = np.delete(np.where(finite, partial.means, prev.means), k, axis=0)
     for _ in range(10):
         mu = data.points[int(rng.integers(data.n))].copy()
-        if others.size:
-            dist2 = float(((others - mu) ** 2).sum(axis=1).min())
-        else:
-            # single component: no other mean exists; preserve data scale
-            dist2 = float(((data.points - mu) ** 2).sum(axis=1).mean())
-        if dist2 > 0.0:
-            return mu, np.eye(d) * (dist2 / (2.0 * d))
+        cov = seeded_covariance(mu, others, data)
+        if cov is not None:
+            return mu, cov
     raise DegeneracyError(k, "resampled mean coincides with all other means")
 
 

@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, DataError, DataSet, MixtureModel, group_order
+from .model import DataError, DataSet, MixtureModel, group_order
 from .rng import check_seed
+from .rounds import seeded_covariance
+from .sem import sample_assignment
 
 
 class GenerationError(RuntimeError):
@@ -107,23 +109,21 @@ def _interfusing(means: np.ndarray, radii: np.ndarray, overlap: float) -> bool:
 def sample_dataset(
     model: MixtureModel, n: int, rng: np.random.Generator
 ) -> tuple[DataSet, np.ndarray]:
-    """Ancestral sampling: pick a component by weight, then draw from it.
+    """Ancestral sampling: pick a component by weight (sample_assignment on
+    N copies of the weight row), then draw from it.
 
-    Returns the data set and the true component labels for diagnostics.
+    Returns the data set and the true component labels (intp) for
+    diagnostics.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    # clipped at 1.0 so the running sums stay sorted for searchsorted, which
-    # counts the entries <= u; no u < 1 reaches an entry at 1.0
-    cum = np.minimum(np.cumsum(model.weights), 1.0)
-    cum[-1] = 1.0
-    labels = np.searchsorted(cum, rng.random(n), side="right")
+    assign = sample_assignment(np.broadcast_to(model.weights, (n, model.k)), rng)
     g = rng.standard_normal((n, model.d))
     # x = mu_k + L_k g with the cached triangular factor: one GEMM per
     # component over its grouped draws (contiguous rows of g), written as
     # coordinate rows; one gather by the inverse order then puts every
     # point back in place in the D x N buffer the data set adopts
-    order, offsets = group_order(Assignment(labels, model.k))
+    order, offsets = group_order(assign)
     grouped = np.take(g, order, axis=0)
     del g
     y = np.empty((model.d, n))
@@ -134,7 +134,7 @@ def sample_dataset(
     del grouped
     inverse = np.empty_like(order)
     inverse[order] = np.arange(n)
-    return DataSet(np.take(y, inverse, axis=1).T), labels
+    return DataSet(np.take(y, inverse, axis=1).T), assign.labels.astype(np.intp)
 
 
 def check_k(k: int) -> None:
@@ -145,30 +145,17 @@ def check_k(k: int) -> None:
 
 def initialize(data: DataSet, k: int, rng: np.random.Generator) -> MixtureModel:
     """Initial model: K means drawn uniformly from the data without
-    replacement, spherical covariances scaled by half the mean squared
-    distance to the nearest other mean per dimension, uniform weights.
-
-    Sigma_k = I * (1/2D) * min_{i != k} ||mu_k - mu_i||^2; for K = 1 the
-    minimum over an empty set is replaced by the mean squared distance of the
-    data to the chosen mean, preserving scale.
-    """
+    replacement, each with the seeded_covariance of the other means, and
+    uniform weights; a draw for which some seeded_covariance is None is
+    redrawn."""
     check_k(k)
     if data.n < k:
         raise DataError(f"need at least K={k} points, got {data.n}")
-    d = data.d
     for _ in range(100):
         idx = rng.choice(data.n, size=k, replace=False)
         means = data.points[idx].copy()
-        if k == 1:
-            scale = float(((data.points - means[0]) ** 2).sum(axis=1).mean())
-            if scale > 0:
-                covs = np.eye(d)[None] * (scale / (2.0 * d))
-                return MixtureModel(np.ones(1), means, covs)
-            continue
-        dist2 = ((means[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(dist2, np.inf)
-        nearest = dist2.min(axis=1)
-        if (nearest > 0).all():
-            covs = np.eye(d)[None] * (nearest / (2.0 * d))[:, None, None]
-            return MixtureModel(np.full(k, 1.0 / k), means, covs)
+        covs = [seeded_covariance(mu, np.delete(means, j, axis=0), data)
+                for j, mu in enumerate(means)]
+        if all(cov is not None for cov in covs):
+            return MixtureModel(np.full(k, 1.0 / k), means, np.stack(covs))
     raise DataError(f"fewer than {k} distinct points; cannot initialize")

@@ -655,8 +655,11 @@ class TestCli:
         ("fit-em", "--data", "absent.csv", "--model", "absent.txt", "--rounds", -1),
         ("compare", "--data", "absent.csv", "--k", 0),
         ("init", "--data", "absent.csv", "--k", 0),
+        ("gen", "--d", 1, "--n", 100, "--k", 50),
+        ("compare", "--gen", "1,50,100"),
     ], ids=["rounds-0", "inits-0", "gen-k-0", "delta-2", "jobs-0", "gen-two-fields",
-            "gen-n-0", "gen-overlap-nan", "gen-overlap-inf", "fit-rounds-negative", "compare-k-0", "init-k-0"])
+            "gen-n-0", "gen-overlap-nan", "gen-overlap-inf", "fit-rounds-negative", "compare-k-0", "init-k-0",
+            "gen-unplaceable", "compare-gen-unplaceable"])
     def test_rejected_flag_value(self, tmp_path, argv):
         res = run_cli(*argv, "--out", tmp_path)
         assert res.returncode == 1

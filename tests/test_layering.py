@@ -21,9 +21,9 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 #: each library module's layer: a module imports only modules of a lower one
 RANKS = {
     "model": 0, "rng": 0,
-    "estep": 1, "rounds": 1, "synth": 1, "ingest": 1,
+    "estep": 1, "rounds": 1, "ingest": 1,
     "em": 2, "sem": 2,
-    "bounds": 3,
+    "bounds": 3, "synth": 3,
     "harness": 4,
     "cli": 5,
 }

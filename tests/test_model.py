@@ -64,6 +64,10 @@ class TestDataSet:
         with pytest.raises(DataError):
             DataSet(np.empty((0, 2)))
 
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(DataError, match="rectangular"):
+            DataSet([[1.0, 2.0], [3.0]])
+
     @pytest.mark.parametrize("points", [
         np.array([[1.0 + 0.5j], [0.0]]),
         np.array([["1"], ["0"]]),

@@ -413,6 +413,20 @@ class TestRepairComponent:
         dist2 = ((mu - partial.means[0]) ** 2).sum()
         np.testing.assert_allclose(cov, np.eye(2) * dist2 / 4.0, rtol=1e-12)
 
+    def test_one_component_scale(self):
+        # with no other mean, the seeding rule of initialize at K = 1:
+        # I * mean_n ||x_n - mu||^2 / (2D), 10 / 4 from every corner here
+        data = DataSet([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [2.0, 4.0]])
+        prev = MixtureModel([1.0], [[1.0, 2.0]], [np.eye(2)])
+        partial = PartialParams(
+            means=np.full((1, 2), np.nan),
+            covariances=np.full((1, 2, 2), np.nan),
+            counts=np.array([0.0]),
+        )
+        mu, cov = repair_component(0, data, prev, partial, substream(62))
+        assert (mu == data.points).all(axis=1).any()
+        np.testing.assert_array_equal(cov, np.eye(2) * 2.5)
+
 
 class TestSemFit:
     def test_trajectory_valid(self, small_instance):

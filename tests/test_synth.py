@@ -146,6 +146,22 @@ class TestInitialize:
         assert validate(model) is None
         assert model.k == 1
 
+    def test_k_one_scale(self):
+        # with no other mean, I * mean_n ||x_n - mu||^2 / (2D); every corner of
+        # this rectangle has mean squared distance (0 + 4 + 16 + 20) / 4 = 10
+        data = DataSet([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [2.0, 4.0]])
+        for seed in range(4):
+            model = initialize(data, 1, substream(104, 2, seed))
+            np.testing.assert_array_equal(model.covariances[0], np.eye(2) * 2.5)
+
+    def test_each_component_its_own_nearest_distance(self):
+        # pairwise squared distances 1, 9 and 10: nearest 1, 1 and 9
+        points = [[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]]
+        expected = {(0.0, 0.0): 0.25, (1.0, 0.0): 0.25, (0.0, 3.0): 2.25}
+        model = initialize(DataSet(points), 3, substream(107))
+        for mu, cov in zip(model.means, model.covariances):
+            np.testing.assert_array_equal(cov, np.eye(2) * expected[tuple(mu)])
+
     def test_duplicate_points_rejected(self):
         data = DataSet(np.zeros((10, 2)))
         with pytest.raises(DataError, match="distinct"):

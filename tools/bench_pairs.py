@@ -9,10 +9,12 @@ Pair i of a workload runs `python3 bench/run.py --workload W --seed S+i
 --seconds T --trace 0` once in each checkout, the parent first on even i and
 the change first on odd i, one process at a time.  Every run is recorded
 with its end-to-end metrics and the minor page faults of its whole process
-(set-up included).  Per workload and metric the record gives both sides'
-medians, the parent's own quartiles, the pairs the change wins and the
-median of the paired differences (change minus parent), next to every run
-and the environment.
+(set-up included).  The metrics, their better direction and their bound are
+the `end_to_end` list of the change checkout's BENCHMARK.json.  Per workload
+and metric the record gives both sides' medians, the parent's own
+quartiles, the pairs the change wins, the median of the paired differences
+(change minus parent) and a verdict (see `verdict`), next to every run and
+the environment.
 """
 from __future__ import annotations
 
@@ -24,10 +26,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = {"throughput_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+def end_to_end(checkout: Path) -> dict[str, tuple[str, float]]:
+    """Each end-to-end metric of the checkout's BENCHMARK.json, as
+    name -> (better, bound)."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             metrics: dict[str, tuple[str, float]]) -> tuple[dict, dict]:
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     res = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -41,7 +49,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     out = json.loads(res.stdout.strip().splitlines()[-1])
     env = json.loads(next(line for line in res.stdout.splitlines()
                           if line.startswith("env "))[4:])
-    run = {name: out["metrics"][name]["value"] for name in METRICS}
+    run = {name: out["metrics"][name]["value"] for name in metrics}
     run.update(failed=out["failed"], attempted=out["attempted"], minflt=minflt)
     return run, env
 
@@ -53,33 +61,61 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summary(runs: list[dict]) -> dict:
+def verdict(parent: list[float], change: list[float], wins: int, of: int,
+            sign: float, bound: float) -> str:
+    """One metric's verdict on one workload, the first rule that holds:
+    `worse` when the change's median is worse than the parent's by more than
+    bound x the parent's median; `unresolved` when the parent's IQR exceeds
+    bound x its median, unless every change run beats every parent run;
+    `gain` when the change wins at least 9/10 of the pairs (ties count for
+    neither) and the medians differ, in its favour, by more than the
+    parent's IQR; `within_bound` otherwise.  `sign` is +1 when higher is
+    better and -1 when lower is."""
+    pm = statistics.median(parent)
+    gap = sign * (statistics.median(change) - pm)
+    q1, q3 = quartiles(parent)
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if gap < -bound * abs(pm):
+        return "worse"
+    if q3 - q1 > bound * abs(pm) and not beats_all:
+        return "unresolved"
+    if 10 * wins >= 9 * of and gap > q3 - q1:
+        return "gain"
+    return "within_bound"
+
+
+def summary(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
     """Per workload: both sides' medians (with their run counts), the
-    parent's quartiles, and per metric the pairs the change wins and the
-    median paired difference, change minus parent."""
-    out = {"median": {}, "parent_quartiles": {}, "pairs": {}}
+    parent's quartiles, and per metric the pairs the change wins, the
+    median paired difference (change minus parent) and the verdict."""
+    out = {"median": {}, "parent_quartiles": {}, "pairs": {}, "verdicts": {}}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         side = {s: [r for r in runs if r["workload"] == workload and r["side"] == s]
                 for s in ("parent", "change")}
         out["median"][workload] = {
-            s: {**{m: statistics.median(r[m] for r in rs) for m in METRICS}, "runs": len(rs)}
+            s: {**{m: statistics.median(r[m] for r in rs) for m in metrics}, "runs": len(rs)}
             for s, rs in side.items()
         }
         out["parent_quartiles"][workload] = {
-            m: quartiles([r[m] for r in side["parent"]]) for m in METRICS
+            m: quartiles([r[m] for r in side["parent"]]) for m in metrics
         }
         change = {r["seed"]: r for r in side["change"]}
-        pairs = {}
-        for m, better in METRICS.items():
+        pairs, verdicts = {}, {}
+        for m, (better, bound) in metrics.items():
             sign = 1.0 if better == "higher" else -1.0
             diffs = [change[r["seed"]][m] - r[m] for r in side["parent"]]
             pairs[m] = {"change_wins": sum(sign * d > 0 for d in diffs),
                         "of": len(diffs), "median_diff": statistics.median(diffs)}
+            verdicts[m] = verdict([r[m] for r in side["parent"]],
+                                  [r[m] for r in side["change"]],
+                                  pairs[m]["change_wins"], len(diffs), sign, bound)
         out["pairs"][workload] = pairs
+        out["verdicts"][workload] = verdicts
     return out
 
 
-def record(description: str, seconds: float, envs: dict, runs: list[dict]) -> dict:
+def record(description: str, seconds: float, envs: dict, runs: list[dict],
+           metrics: dict[str, tuple[str, float]]) -> dict:
     env = envs["parent"]
     blas = env["blas"]
     if isinstance(blas, dict):
@@ -97,7 +133,7 @@ def record(description: str, seconds: float, envs: dict, runs: list[dict]) -> di
             "parent_git_sha": envs["parent"]["git_sha"],
             "change_git_sha": envs["change"]["git_sha"],
         },
-        **summary(runs),
+        **summary(runs, metrics),
         "runs": runs,
     }
 
@@ -114,17 +150,19 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
+    metrics = end_to_end(args.change)
     runs, envs = [], {}
     for workload in args.workload:
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                run, envs[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+                run, envs[side] = run_once(getattr(args, side), workload, seed, args.seconds,
+                                           metrics)
                 runs.append({"side": side, "workload": workload, "seed": seed, **run})
                 print(json.dumps(runs[-1]), flush=True)
             # written after every pair, so an interrupted batch keeps its runs
-            rec = record(args.description, args.seconds, envs, runs)
+            rec = record(args.description, args.seconds, envs, runs, metrics)
             args.out.write_text(json.dumps(rec, indent=1) + "\n")
     return 0
 
