@@ -182,7 +182,6 @@ class BoundReport:
     data: DataSet = field(repr=False, compare=False)
     em_means: np.ndarray            # (K, D)
     lambda_w: np.ndarray            # (K,)
-    weight_applicable: np.ndarray   # (K,) bool, concentration hypothesis
     applicable: np.ndarray          # (K,) bool, usable for mean/cov bounds
     tau: np.ndarray                 # (K, D)
     lambda_mu: np.ndarray           # (K, D), NaN where not applicable
@@ -255,7 +254,6 @@ def assemble_bounds(
         data=data,
         em_means=means,
         lambda_w=lw.value,
-        weight_applicable=lw.applicable,
         applicable=applicable,
         tau=tau,
         lambda_mu=lam_mu,

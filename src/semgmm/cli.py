@@ -17,7 +17,7 @@ from .harness import (
     run_speed_experiment,
 )
 from .em import em_fit
-from .ingest import load_csv, load_model, normalize, save_csv, save_model
+from .ingest import load_csv, load_model, normalize, save_csv, save_model, write_rows
 from .model import DataError, DegeneracyError, InvalidModelError
 from .rng import check_seed, substream
 from .rounds import SemConfig, check_rounds
@@ -155,12 +155,9 @@ def _cmd_gen(args) -> int:
                     rng_seed=args.seed)
     truth = generate_mixture(spec, substream(args.seed, 0, 0))
     data, labels = sample_dataset(truth, args.n, substream(args.seed, 0, 1))
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(truth, out / "truth_model.txt")
-    save_csv(data, out / "data.csv")
-    with open(out / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"{v}\n" for v in labels.tolist()))
+    save_model(truth, args.out / "truth_model.txt")
+    save_csv(data, args.out / "data.csv")
+    write_rows(args.out / "labels.csv", [("%d\n", labels[:, None])])
     return EXIT_OK
 
 
@@ -169,19 +166,15 @@ def _cmd_init(args) -> int:
     _checked(check_seed, seed=args.seed)
     data = load_csv(args.data)
     model = initialize(data, args.k, substream(args.seed, 1, 0))
-    out = args.out if args.out.suffix else args.out / "init_model.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, out)
+    save_model(model, args.out if args.out.suffix else args.out / "init_model.txt")
     return EXIT_OK
 
 
 def _cmd_normalize(args) -> int:
     data = load_csv(args.data)
     normalized, record = normalize(data)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    save_csv(normalized, out / "normalized.csv")
-    record.save(out / "normalization.csv")
+    save_csv(normalized, args.out / "normalized.csv")
+    record.save(args.out / "normalization.csv")
     return EXIT_OK
 
 
@@ -191,9 +184,7 @@ def _cmd_fit(args) -> int:
     data = load_csv(args.data)
     model0 = load_model(args.model)
     traj = args.fit(model0, data, args.rounds, cfg)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(traj[-1] if traj else model0, out / "final_model.txt")
+    save_model(traj[-1] if traj else model0, args.out / "final_model.txt")
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import assemble_bounds
 from .em import em_fit, em_round
 from .estep import responsibilities
-from .ingest import FMT, load_csv
+from .ingest import FMT, load_csv, write_rows
 from .model import DataSet, DegeneracyError, MixtureModel, log_likelihood
 from .rng import check_seed, derive_seed, substream
 from .rounds import SemConfig, fit_rounds
@@ -166,23 +166,22 @@ def _map_runs(fn, keys, n_jobs):
             raise
 
 
-def _write_trace(path: Path, comments: list[str], header: list[str], rows) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+class _Body:
+    """A trace's (row_format, rows) parts for ingest.write_rows, which may be
+    formed as they are written; its length is the trace's line count, which
+    bench/tracing.py reads as the trace's row count."""
+
+    def __init__(self, parts, lines=None):
+        self.parts = parts
+        self.lines = sum(len(rows) for _, rows in parts) if lines is None else lines
+
+    def __len__(self) -> int:
+        return self.lines
+
+
+def _write_trace(path: Path, comments: list[str], header: list[str], rows: _Body) -> Path:
+    write_rows(path, rows.parts, "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n")
     return path
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return FMT % v
-    return str(v)
 
 
 def _sem_cfg(plan: ExperimentPlan, i: int, j: int) -> SemConfig:
@@ -280,7 +279,8 @@ def _likelihood_protocol(data: DataSet):
         ]
         out = Path(plan.out_dir) / "likelihood_trace.csv"
         return _write_trace(
-            out, titles + comments, ["init_id", "algorithm", "round", "stat", "nll"], rows
+            out, titles + comments, ["init_id", "algorithm", "round", "stat", "nll"],
+            _Body([(f"%d,%s,%d,%s,{FMT}\n", rows)]),
         )
 
     return payload, write
@@ -305,29 +305,27 @@ def _packed_params(traj) -> np.ndarray:
 def _diff_protocol(data: DataSet):
     gamma_mu, gamma_sigma = diff_normalizers(data)
     d = data.d
+    # one record per round and component, one line per difference: the
+    # weight, the mean coordinates, the mean's Euclidean norm, the row-major
+    # covariance entries and the covariance's Frobenius norm
+    cells = (
+        ["weight,,"] + [f"mean,{a}," for a in range(d)] + ["mean_euclid,,"]
+        + [f"cov,{a},{b}" for a in range(d) for b in range(d)] + ["cov_frobenius,,"]
+    )
+    record = "".join(f"%d,%d,%d,%d,{cell},{FMT},{FMT}\n" for cell in cells)
+    scale = np.array([1.0] + [gamma_mu] * (d + 1) + [gamma_sigma] * (d * d + 1))
 
     def run_rows(i, j, em_params, sem_params):
-        rows = []
-        for t, (em_t, sem_t) in enumerate(zip(em_params, sem_params), start=1):
-            for k, (em_k, sem_k) in enumerate(zip(em_t, sem_t)):
-                w_diff = float(em_k[0] - sem_k[0])
-                rows.append((i, j, t, k, "weight", None, None, w_diff, w_diff))
-                nu = em_k[1 : d + 1] - sem_k[1 : d + 1]
-                for a in range(d):
-                    rows.append(
-                        (i, j, t, k, "mean", a, None, float(nu[a]), float(nu[a] / gamma_mu))
-                    )
-                e = float(np.sqrt((nu**2).sum()))
-                rows.append((i, j, t, k, "mean_euclid", None, None, e, e / gamma_mu))
-                cd = (em_k[d + 1 :] - sem_k[d + 1 :]).reshape(d, d)
-                for a in range(d):
-                    for b in range(d):
-                        rows.append(
-                            (i, j, t, k, "cov", a, b, float(cd[a, b]), float(cd[a, b] / gamma_sigma))
-                        )
-                fro = float(np.sqrt((cd**2).sum()))
-                rows.append((i, j, t, k, "cov_frobenius", None, None, fro, fro / gamma_sigma))
-        return rows
+        """The run's rows (init, run, round, component, raw, normalized),
+        one per line of its records."""
+        diff = em_params - sem_params
+        nu, cd = diff[..., 1 : d + 1], diff[..., d + 1 :]
+        norms = [np.sqrt((x**2).sum(axis=-1, keepdims=True)) for x in (nu, cd)]
+        raw = np.concatenate([diff[..., :1], nu, norms[0], cd, norms[1]], axis=-1)
+        rounds = np.arange(1, len(raw) + 1)[:, None, None]
+        components = np.arange(raw.shape[1])[:, None]
+        rows = np.stack(np.broadcast_arrays(i, j, rounds, components, raw, raw / scale), axis=-1)
+        return record, rows.reshape(-1, 6)
 
     def write(plan, comments, swept):
         titles = [
@@ -338,12 +336,9 @@ def _diff_protocol(data: DataSet):
             "init_id", "run_id", "round", "component", "param",
             "index_i", "index_j", "raw_diff", "normalized_diff",
         ]
-        rows = [
-            row
-            for i, (em_params, kept) in enumerate(swept)
-            for j, sem_params in kept.items()
-            for row in run_rows(i, j, em_params, sem_params)
-        ]
+        runs = [(i, j, em, sem) for i, (em, kept) in enumerate(swept) for j, sem in kept.items()]
+        lines = len(cells) * sum(sem[..., 0].size for *_, sem in runs)
+        rows = _Body((run_rows(*run) for run in runs), lines)
         return _write_trace(Path(plan.out_dir) / "diff_trace.csv", titles + comments, header, rows)
 
     return _packed_params, write
@@ -403,9 +398,10 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
     if data is None:
         data = prepare_data(plan)
     delta = effective_delta(plan, data.d)
+    applicable_row, inapplicable_row = f"%d,%d,%d,%d,{FMT},{FMT},1\n", "%d,%d,%d,%d,,,0\n"
 
     def bound_run(i, j, model0):
-        rows = []
+        parts = []  # one (row format, [row]) part per line
 
         def bound_round(model, data, cfg, t):
             resp = responsibilities(model, data)
@@ -415,24 +411,24 @@ def run_bound_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
                 if report.applicable[k] and partial.counts[k] >= 1:
                     actual = float(np.sqrt(((partial.means[k] - report.em_means[k]) ** 2).sum()))
                     bound = float(report.mean_bound_euclid[k])
-                    rows.append((i, j, t + 1, k, actual, bound, 1))
+                    parts.append((applicable_row, [(i, j, t + 1, k, actual, bound)]))
                 else:
-                    rows.append((i, j, t + 1, k, None, None, 0))
+                    parts.append((inapplicable_row, [(i, j, t + 1, k)]))
             return next_model
 
         for _ in fit_rounds(bound_round, model0, data, plan.rounds, _sem_cfg(plan, i, j)):
             pass
-        return rows
+        return parts
 
     comments, swept = _sweep(plan, data, bound_run)
-    rows = [row for _, kept in swept for run in kept.values() for row in run]
+    parts = [part for _, kept in swept for run in kept.values() for part in run]
     out = Path(plan.out_dir) / "bound_trace.csv"
     titles = ["semgmm bound trace", f"per-check delta {FMT % delta}"]
     header = [
         "init_id", "run_id", "round", "component",
         "actual_euclid", "bound_euclid", "applicable",
     ]
-    return _write_trace(out, titles + comments, header, rows)
+    return _write_trace(out, titles + comments, header, _Body(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -521,5 +517,5 @@ def run_speed_experiment(plan: ExperimentPlan, data: DataSet | None = None) -> P
         out,
         ["semgmm speed trace", _thread_settings()],
         ["algorithm", "iteration", "mults", "wall_ns"],
-        rows["em"] + rows["sem"],
+        _Body([("%s,%d,%d,%d\n", rows["em"] + rows["sem"])]),
     )

@@ -1,13 +1,15 @@
 """File formats and normalization: headerless CSV datasets, plain-text model
 files, and the [0, 1] min-max normalization applied to real-world data.
 
-All floating-point values are written with 17 significant digits so
-save/load round-trips are value-exact.
+Every file the package writes goes through write_rows, with lines ended by
+\n on every platform.  All floating-point values are written with 17
+significant digits so save/load round-trips are value-exact.
 """
 from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +19,8 @@ from .model import DataError, DataSet, MixtureModel
 FMT = "%.17g"
 
 
-def _fmt(v: float) -> str:
-    return FMT % v
-
-
 def _not_utf8(path: Path, byte: int, reason: str) -> DataError:
     return DataError(f"{path}: not UTF-8 text (byte {byte}: {reason})")
-
-
-def _read_text(path: Path) -> str:
-    """The file's text, decoded as UTF-8; undecodable bytes are a DataError."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc.start, exc.reason) from None
 
 
 # bytes per read of load_csv's pre-scan; a private constant, not a setting
@@ -131,36 +121,58 @@ def _parse_rows(path: Path) -> DataSet:
     return DataSet(np.array(rows, dtype=np.float64))
 
 
-# rows formatted per string operation by save_csv
-_SAVE_ROWS = 4096
+# values formatted per string operation by write_rows; a private constant,
+# not a setting
+_BLOCK_VALUES = 1 << 12
+
+
+def write_rows(path, parts, head: str = "") -> None:
+    """Write the file `path` (and its missing directories): `head`, then
+    each (row_format, rows) part.  rows is a 2-D array or a sequence of
+    equal-length tuples, one row per line, and a row format that spans m
+    lines takes m rows.  Each block of rows is one `%` on the repeated row
+    format, so empty cells and constant text live in the format."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        for row_format, rows in parts:
+            # whole row formats of at most _BLOCK_VALUES values (one per `%`)
+            per = row_format.count("\n")
+            step = max(1, _BLOCK_VALUES // row_format.count("%")) * per
+            for lo in range(0, len(rows), step):
+                block = rows[lo:lo + step]
+                if isinstance(block, np.ndarray):
+                    values = block.ravel().tolist()
+                else:
+                    values = chain.from_iterable(block)
+                fh.write(row_format * (len(block) // per) % tuple(values))
 
 
 def save_csv(data: DataSet, path) -> None:
     """Write one point per row, the same bytes as np.savetxt(fmt=FMT,
-    delimiter=","): each block of rows is one `%` on a repeated row format."""
-    points = data.points
-    row = ",".join([FMT] * data.d) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lo in range(0, data.n, _SAVE_ROWS):
-            block = points[lo:lo + _SAVE_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    delimiter=",")."""
+    write_rows(path, [(",".join([FMT] * data.d) + "\n", data.points)])
 
 
 def save_model(model: MixtureModel, path) -> None:
     """Plain-text model file: `gmm K D`, then per component a weight line, a
     mean line, and D covariance rows."""
-    lines = [f"gmm {model.k} {model.d}"]
+    row = " ".join([FMT] * model.d) + "\n"
+    parts = []
     for k in range(model.k):
-        lines.append(f"w {_fmt(model.weights[k])}")
-        lines.append("mu " + " ".join(_fmt(v) for v in model.means[k]))
-        for row in model.covariances[k]:
-            lines.append("sigma " + " ".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parts.append((f"w {FMT}\n", model.weights[k:k + 1, None]))
+        parts.append(("mu " + row, model.means[k:k + 1]))
+        parts.append(("sigma " + row, model.covariances[k]))
+    write_rows(path, parts, f"gmm {model.k} {model.d}\n")
 
 
 def load_model(path) -> MixtureModel:
     path = Path(path)
-    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc.start, exc.reason) from None
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty model file")
     head = lines[0].split()
@@ -219,9 +231,8 @@ class NormalizationRecord:
         return DataSet(data.points * self.scale + self.offset)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(_fmt(v) for v in self.offset) + "\n")
-            fh.write(",".join(_fmt(v) for v in self.scale) + "\n")
+        """Two CSV rows: the offsets, then the scales."""
+        save_csv(DataSet(np.stack([self.offset, self.scale])), path)
 
 
 def normalize(data: DataSet) -> tuple[DataSet, NormalizationRecord]:

@@ -2,7 +2,8 @@
 
 The scalar oracles are written with plain Python loops and the math module;
 the array oracles keep the direct formulas that the package's kernels replace
-with faster, reordered ones.  None of them shares code with the package, so
+with faster, reordered ones; the trace oracles build and write one row and
+one cell at a time.  None of them shares code with the package, so
 agreement is meaningful.
 """
 import math
@@ -302,3 +303,50 @@ def per_trial_violation_rates(report, trials, rng, which):
     with np.errstate(invalid="ignore", divide="ignore"):
         rate = np.where(cond > 0, viol / np.maximum(cond, 1.0), np.nan)
     return rate, cond / trials
+
+
+def cell_trace(path, comments, header, rows):
+    """A trace written one cell at a time: each value of each row joined
+    with commas, None as an empty cell, a float with 17 significant digits
+    and anything else as str()."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, float):
+            return "%.17g" % v
+        return str(v)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+
+
+def diff_rows(i, j, em_traj, sem_traj, gamma_mu, gamma_sigma):
+    """The diff trace's rows of run j from init i, one at a time: per round
+    and component the weight, each mean coordinate, the mean's Euclidean
+    norm, each covariance entry and the covariance's Frobenius norm, raw
+    and normalized."""
+    rows = []
+    for t, (em, sem) in enumerate(zip(em_traj, sem_traj), start=1):
+        d = em.means.shape[1]
+        for k in range(em.weights.shape[0]):
+            w_diff = float(em.weights[k] - sem.weights[k])
+            rows.append((i, j, t, k, "weight", None, None, w_diff, w_diff))
+            nu = em.means[k] - sem.means[k]
+            for a in range(d):
+                rows.append((i, j, t, k, "mean", a, None, float(nu[a]), float(nu[a] / gamma_mu)))
+            e = float(np.sqrt((nu**2).sum()))
+            rows.append((i, j, t, k, "mean_euclid", None, None, e, e / gamma_mu))
+            cd = em.covariances[k] - sem.covariances[k]
+            for a in range(d):
+                for b in range(d):
+                    rows.append(
+                        (i, j, t, k, "cov", a, b, float(cd[a, b]), float(cd[a, b] / gamma_sigma))
+                    )
+            fro = float(np.sqrt((cd**2).sum()))
+            rows.append((i, j, t, k, "cov_frobenius", None, None, fro, fro / gamma_sigma))
+    return rows

@@ -38,7 +38,15 @@ from semgmm.harness import (
     model_hash,
     prepare_data,
 )
+from semgmm.bounds import assemble_bounds
+from semgmm.em import em_fit
+from semgmm.estep import responsibilities
+from semgmm.model import log_likelihood
 from semgmm.rng import derive_seed, substream
+from semgmm.rounds import SemConfig, fit_rounds
+from semgmm.sem import sem_fit, sem_step
+
+from oracles import cell_trace, diff_rows
 
 
 def tiny_plan(tmp_path, **overrides):
@@ -442,6 +450,138 @@ class TestSweep:
         experiment(plan)
         trajectories = plan.n_inits + plan.n_inits * plan.runs_per_init
         assert calls.count("log_joint") == trajectories * (plan.rounds + 1)
+
+
+def oracle_sweep(plan, data, run):
+    """The protocol sweep one run at a time: the init hash comments, then
+    one comment per run that raised DegeneracyError, and per init the
+    results of run(i, j, model0) for its kept runs, keyed by run."""
+    inits = initial_models(plan, data)
+    comments = [f"init {i} hash {model_hash(m)}" for i, m in enumerate(inits)]
+    kept = []
+    for i, model0 in enumerate(inits):
+        kept.append({})
+        for j in range(plan.runs_per_init):
+            try:
+                kept[i][j] = run(i, j, model0)
+            except DegeneracyError as exc:
+                comments.append(f"excluded: init {i} run {j}: {exc}")
+    return inits, comments, kept
+
+
+def oracle_compare(plan, data, out):
+    """The likelihood and diff traces of run_compare_experiment, written
+    one cell at a time from trajectories computed one run at a time."""
+    seed = plan.master_seed
+    inits, comments, kept = oracle_sweep(
+        plan, data,
+        lambda i, j, m0: sem_fit(m0, data, plan.rounds, SemConfig(derive_seed(seed, 2, i, j))),
+    )
+    g_mu, g_sigma = diff_normalizers(data)
+    lik, diff = [], []
+    for i, model0 in enumerate(inits):
+        em = em_fit(model0, data, plan.rounds, SemConfig(derive_seed(seed, 3, i)))
+        lik += [(i, "em", t, "value", -log_likelihood(m, data)) for t, m in enumerate(em, 1)]
+        if kept[i]:
+            nlls = np.array([[-log_likelihood(m, data) for m in traj] for traj in kept[i].values()])
+            stats = np.percentile(nlls, [0, 25, 50, 75, 100], axis=0)
+            for t, column in enumerate(stats.T, start=1):
+                for name, value in zip(("min", "q1", "median", "q3", "max"), column):
+                    lik.append((i, "sem", t, name, float(value)))
+        for j, traj in kept[i].items():
+            diff += diff_rows(i, j, em, traj, g_mu, g_sigma)
+    cell_trace(
+        out / "likelihood_trace.csv",
+        ["semgmm likelihood trace",
+         "stats over stochastic runs; quartiles use linear interpolation on sorted values"]
+        + comments,
+        ["init_id", "algorithm", "round", "stat", "nll"],
+        lik,
+    )
+    cell_trace(
+        out / "diff_trace.csv",
+        ["semgmm diff trace", "gamma_mu %.17g gamma_sigma %.17g" % (g_mu, g_sigma)] + comments,
+        ["init_id", "run_id", "round", "component", "param",
+         "index_i", "index_j", "raw_diff", "normalized_diff"],
+        diff,
+    )
+
+
+def oracle_bound(plan, data, out):
+    """The trace of run_bound_experiment, written one cell at a time, with
+    None for the two cells of an inapplicable component."""
+    delta = effective_delta(plan, data.d)
+
+    def run(i, j, model0):
+        rows = []
+
+        def bound_round(model, data, cfg, t):
+            resp = responsibilities(model, data)
+            report = assemble_bounds(resp, data, delta)
+            partial, next_model = sem_step(resp, data, model, cfg, t)
+            for k in range(plan.k):
+                if report.applicable[k] and partial.counts[k] >= 1:
+                    actual = float(np.sqrt(((partial.means[k] - report.em_means[k]) ** 2).sum()))
+                    rows.append((i, j, t + 1, k, actual, float(report.mean_bound_euclid[k]), 1))
+                else:
+                    rows.append((i, j, t + 1, k, None, None, 0))
+            return next_model
+
+        cfg = SemConfig(derive_seed(plan.master_seed, 2, i, j))
+        list(fit_rounds(bound_round, model0, data, plan.rounds, cfg))
+        return rows
+
+    _, comments, kept = oracle_sweep(plan, data, run)
+    cell_trace(
+        out / "bound_trace.csv",
+        ["semgmm bound trace", "per-check delta %.17g" % delta] + comments,
+        ["init_id", "run_id", "round", "component",
+         "actual_euclid", "bound_euclid", "applicable"],
+        [row for runs in kept for rows in runs.values() for row in rows],
+    )
+
+
+ORACLE_PLANS = {
+    "d1": dict(dataset=GenSpec(d=1, k=2, n=300), k=2, master_seed=3),
+    "d3_inapplicable": dict(
+        dataset=GenSpec(d=3, k=5, n=400), k=5, master_seed=11,
+        rounds=6, n_inits=2, runs_per_init=3,
+    ),
+    "d10": dict(dataset=GenSpec(d=10, k=3, n=600), k=3, master_seed=9),
+}
+
+
+class TestTraceOracle:
+    """Every trace byte for byte as written one cell at a time."""
+
+    def check(self, tmp_path, plan_args):
+        plan = tiny_plan(tmp_path / "trace", **plan_args)
+        data = prepare_data(plan)
+        paths = [*run_compare_experiment(plan, data), run_bound_experiment(plan, data)]
+        (tmp_path / "oracle").mkdir()
+        oracle_compare(plan, data, tmp_path / "oracle")
+        oracle_bound(plan, data, tmp_path / "oracle")
+        for path in paths:
+            assert path.read_bytes() == (tmp_path / "oracle" / path.name).read_bytes(), path.name
+        return [read_trace(p) for p in paths]
+
+    @pytest.mark.parametrize("name", list(ORACLE_PLANS))
+    def test_traces_match_oracle(self, tmp_path, name):
+        _, _, (_, _, bound_rows) = self.check(tmp_path, ORACLE_PLANS[name])
+        if name == "d3_inapplicable":
+            assert len(bound_rows) == 180
+            assert sum(r[4:] == ["", "", "0"] for r in bound_rows) == 64
+
+    def test_every_run_excluded(self, tmp_path, monkeypatch):
+        def hard_step(assign, data, model, cfg, t):
+            raise DegeneracyError(0, "forced")
+
+        monkeypatch.setattr(semgmm.sem, "_hard_step", hard_step)
+        lik, diff, bound = self.check(tmp_path, ORACLE_PLANS["d3_inapplicable"])
+        assert {r[1] for r in lik[2]} == {"em"}
+        for comments, _, rows in (diff, bound):
+            assert rows == []
+            assert sum(c.startswith("# excluded:") for c in comments) == 6
 
 
 def force_em_error(monkeypatch, plan, i, error):

@@ -14,7 +14,7 @@ from semgmm import (
     save_model,
 )
 import semgmm.ingest
-from semgmm.ingest import _parse_rows
+from semgmm.ingest import _parse_rows, write_rows
 from semgmm.rng import substream
 
 from conftest import make_instance
@@ -199,6 +199,58 @@ class TestSaveCsv:
         save_csv(DataSet(pts), path)
         np.savetxt(tmp_path / "ref.csv", pts, fmt="%.17g", delimiter=",", newline="\n")
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestWriteRows:
+    PARTS = [
+        ("%d,a,%.17g\n%d,b,,%.17g\n", np.arange(20.0).reshape(10, 2) / 3),
+        ("%s,%d\n", [("x", 1), ("y", 2), ("z", 3)]),
+        ("%d\n", np.zeros((0, 1))),
+        ("%.17g %.17g\n", np.array([[-0.0, 5e-324], [1e308, np.nan]])),
+    ]
+    EXPECTED = (
+        "head\n"
+        + "".join(
+            "%d,a,%.17g\n%d,b,,%.17g\n" % (int(a), b, int(c), d)
+            for a, b, c, d in (np.arange(20.0) / 3).reshape(5, 4).tolist()
+        )
+        + "x,1\ny,2\nz,3\n"
+        + "-0 4.9406564584124654e-324\n1e+308 nan\n"
+    )
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 7, 1 << 12])
+    def test_bytes_independent_of_block(self, tmp_path, monkeypatch, block):
+        # a row format spanning two lines takes two rows, so its blocks hold
+        # pairs of rows whatever the block's value count
+        monkeypatch.setattr(semgmm.ingest, "_BLOCK_VALUES", block)
+        path = tmp_path / "rows.txt"
+        write_rows(path, self.PARTS, "head\n")
+        assert path.read_bytes() == self.EXPECTED.encode()
+
+    def test_peak_bounded_by_block(self, tmp_path):
+        # a multi-line record of many values is formatted a bounded number of
+        # values at a time, not a fixed number of records: about 0.3 MB here,
+        # against 98 MB for blocks of 4096 records
+        rows = substream(118).normal(size=(113 * 2000, 6))
+        record = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" * 113
+        tracemalloc.start()
+        try:
+            write_rows(tmp_path / "rows.txt", [(record, rows)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+
+    def test_model_and_record_bytes(self, tmp_path):
+        m = MixtureModel([0.25, 0.75], [[0.0, 1.0], [2.0, 3.0]], [np.eye(2), 2 * np.eye(2)])
+        save_model(m, tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_bytes() == (
+            b"gmm 2 2\nw 0.25\nmu 0 1\nsigma 1 0\nsigma 0 1\n"
+            b"w 0.75\nmu 2 3\nsigma 2 0\nsigma 0 2\n"
+        )
+        _, record = normalize(DataSet([[1.0, 5.0], [3.0, 5.0]]))
+        record.save(tmp_path / "norm.csv")
+        assert (tmp_path / "norm.csv").read_bytes() == b"1,5\n2,1\n"
 
 
 class TestModelRoundTrip:

@@ -5,7 +5,8 @@ thread pool competing with numpy's for the cores.  Only semgmm.rng makes
 random generators, so every draw comes from a keyed substream, and only the
 round bodies of em and sem key a stream on a run's seed.  Only the model's
 Cholesky screen factors a covariance, so positive definiteness has one
-test.  No function takes a parameter that it never reads.  The benchmark's
+test.  Only the ingest row writer opens a file for writing, so every file
+has one format path.  No function takes a parameter that it never reads.  The benchmark's
 span boundaries name functions that exist, each bound to one object."""
 import ast
 import importlib
@@ -179,6 +180,96 @@ class C:
         ("f", "np.linalg.cholesky"),
         ("C", "linalg.cholesky"),
     ]
+
+
+#: methods that write a file whatever their arguments
+_WRITE_METHODS = {"write_text", "write_bytes", "savetxt", "tofile"}
+
+
+def _open_mode(call):
+    """The mode argument of an open call: the second positional one of the
+    builtin open and of io.open, codecs.open and os.open, the first of
+    Path.open, or the mode keyword; None when there is none."""
+    func = call.func
+    path_first = isinstance(func, ast.Name) or (
+        isinstance(func.value, ast.Name) and func.value.id in ("io", "codecs", "os")
+    )
+    index = 1 if path_first else 0
+    keyword = [k.value for k in call.keywords if k.arg in ("mode", "flags")]
+    if keyword:
+        return keyword[0]
+    return call.args[index] if len(call.args) > index else None
+
+
+def _file_writes(tree):
+    """(top-level definition, call) of every call that opens a file for
+    writing: an open call whose mode writes ("w", "a", "x" or "+") or is
+    not a constant, and the methods of _WRITE_METHODS."""
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "open":
+                mode = _open_mode(node)
+                reads = isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+                if mode is None or reads:
+                    continue
+                yield where, ast.unparse(node)
+            elif name in _WRITE_METHODS:
+                yield where, ast.unparse(node)
+
+
+def test_files_written_only_in_ingest():
+    uses = {
+        path.name: list(_file_writes(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    offenders = [
+        f"{name}: {use}" for name, found in uses.items() if name != "ingest.py" for _, use in found
+    ]
+    assert offenders == []
+    assert {where for where, _ in uses["ingest.py"]} == {"write_rows"}
+
+
+def test_file_write_check_sees_every_form():
+    source = """
+import io, os
+import numpy as np
+from pathlib import Path
+def f(p, m):
+    with open(p, "w", encoding="utf-8") as fh:
+        pass
+    open(p, mode="a")
+    open(p, "rb")
+    open(p)
+    open(p, m)
+    io.open(p, "wb")
+    os.open(p, os.O_WRONLY)
+    Path(p).open("x")
+    Path(p).open("r+")
+    Path(p).open()
+class C:
+    def g(self, p, a):
+        p.write_text("")
+        p.write_bytes(b"")
+        np.savetxt(p, a)
+a.tofile(p)
+"""
+    assert sorted(_file_writes(ast.parse(source))) == sorted([
+        ("f", "open(p, 'w', encoding='utf-8')"),
+        ("f", "open(p, mode='a')"),
+        ("f", "open(p, m)"),
+        ("f", "io.open(p, 'wb')"),
+        ("f", "os.open(p, os.O_WRONLY)"),
+        ("f", "Path(p).open('x')"),
+        ("f", "Path(p).open('r+')"),
+        ("C", "p.write_text('')"),
+        ("C", "p.write_bytes(b'')"),
+        ("C", "np.savetxt(p, a)"),
+        ("<module>", "a.tofile(p)"),
+    ])
 
 
 def _unread_parameters(tree):
