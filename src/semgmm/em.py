@@ -79,12 +79,11 @@ def _em_params(
     stochastic algorithm's own hard_params, so the two algorithms agree bit
     for bit in that case.
 
-    Every responsibility is non-negative (the E-step and from_probs
-    guarantee it), so the weighted scatter sum_n p_nk (x_n - mu_k)(x_n -
-    mu_k)^T is y y^T with y the centred coordinate rows scaled by sqrt(p_k).
-    It is summed over the column blocks of the points: per block and live
-    component, one symmetric product (SYRK) of one reused (D+1) x B buffer,
-    so the M-step holds no D x N temporary.
+    The weighted scatter sum_n p_nk (x_n - mu_k)(x_n - mu_k)^T is w y^T,
+    with y the centred coordinate rows and w = p_k y.  It is summed over
+    the column blocks of the points: per block and live component, one
+    general product (GEMM, all D^2 entries) of the two D-row halves of one
+    reused 2D x B buffer, so the M-step holds no D x N temporary.
     """
     live = _live(resp, data)
     p = resp.probs
@@ -99,17 +98,16 @@ def _em_params(
         d = data.d
         alive = np.flatnonzero(live)
         scatter = np.zeros((k_total, d, d))
-        # y and the sqrt(p_k) row share one reused block of D+1 rows
-        blocks = column_blocks(data.n, d + 1)
-        buf = np.empty((d + 1) * blocks[0].stop)
+        # y and w = p_k y share one reused block of 2D rows
+        blocks = column_blocks(data.n, 2 * d)
+        buf = np.empty(2 * d * blocks[0].stop)
         for cols in blocks:
-            rows = buf[: (d + 1) * (cols.stop - cols.start)].reshape(d + 1, -1)
-            y, root_p = rows[:-1], rows[-1]
+            y, w = buf[: 2 * d * (cols.stop - cols.start)].reshape(2, d, -1)
             x = xt[:, cols]
             for k in alive:
                 np.subtract(x, means[k][:, None], out=y)
-                y *= np.sqrt(p[cols, k], out=root_p)
-                scatter[k] += y @ y.T
+                np.multiply(y, p[cols, k], out=w)
+                scatter[k] += w @ y.T
         covs = np.full((k_total, d, d), np.nan)
         cov = scatter[alive] / r[alive, None, None]
         covs[alive] = 0.5 * (cov + cov.transpose(0, 2, 1))

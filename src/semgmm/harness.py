@@ -444,8 +444,9 @@ class OpCounter:
     triangular products, the weighted accumulations, the outer products), so
     the count is portable rather than read from hardware counters.  Both
     M-steps are counted as a full D^2 outer product per point, as the paper
-    counts them; both kernels form the scatter as one symmetric product
-    (SYRK), which computes half of those products.
+    counts them.  EM forms its scatter as a general product (GEMM), which
+    computes all of those products; SEM's _rows_mle forms it as one
+    symmetric product (SYRK), which computes half of them.
     """
 
     mults: int = 0

@@ -182,6 +182,8 @@ def load_model(path) -> MixtureModel:
         k, d = int(head[1]), int(head[2])
     except ValueError:
         raise DataError(f"{path}: bad header {lines[0]!r}") from None
+    if k < 1 or d < 1:
+        raise DataError(f"{path}: header needs K >= 1 and D >= 1, got {lines[0]!r}")
     expected = 1 + k * (2 + d)
     if len(lines) != expected:
         raise DataError(f"{path}: expected {expected} lines, got {len(lines)}")

@@ -137,6 +137,8 @@ def _checked_factors(weights, means, covariances) -> tuple[str | None, np.ndarra
     if mu.ndim != 2:
         return "means must be a K x D matrix", None
     d = mu.shape[1]
+    if d < 1:
+        return "need at least one dimension", None
     if cov.shape != (k, d, d):
         return f"covariances must have shape ({k}, {d}, {d}), got {cov.shape}", None
     if not np.isfinite(w).all():

@@ -25,6 +25,10 @@ class GenSpec:
     overlap * (sqrt(tr Sigma_i) + sqrt(tr Sigma_j)) of at least one neighbor
     (interfusing, not pairwise well-separated), and no pair may come closer
     than a quarter of that quantity.
+
+    rng_seed is validated but never read: the data are drawn from the
+    plan's master_seed (or, for `semgmm gen`, from --seed).  The field is
+    kept only because the benchmark's workloads pass it.
     """
 
     d: int
@@ -158,4 +162,6 @@ def initialize(data: DataSet, k: int, rng: np.random.Generator) -> MixtureModel:
                 for j, mu in enumerate(means)]
         if all(cov is not None for cov in covs):
             return MixtureModel(np.full(k, 1.0 / k), means, np.stack(covs))
-    raise DataError(f"fewer than {k} distinct points; cannot initialize")
+    # one component fails only when no point lies off its mean
+    reason = "every point coincides" if k == 1 else f"fewer than {k} distinct points"
+    raise DataError(f"{reason}; cannot initialize")

@@ -63,3 +63,22 @@ def test_metrics_come_from_the_benchmark_declaration():
     assert metrics["throughput_per_s"] == ("higher", 0.25)
     assert metrics["setup_s"] == ("lower", 0.25)
     assert metrics["peak_rss_mb"] == ("lower", 0.1)
+
+
+def _tree(root):
+    """A checkout-shaped tree with one file of each digested kind and a test."""
+    for rel, text in {"src/pkg/mod.py": "x = 1\n", "bench/run.py": "pass\n",
+                      "BENCHMARK.json": "{}\n", "tests/test_mod.py": "def test(): pass\n"}.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
+def test_src_digest_follows_src_not_tests(tmp_path):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    digest = bench_pairs.src_digest(a)
+    assert bench_pairs.src_digest(b) == digest
+    (b / "tests/test_mod.py").write_text("def test(): assert True\n")
+    assert bench_pairs.src_digest(b) == digest
+    (b / "src/pkg/mod.py").write_text("x = 2\n")
+    assert bench_pairs.src_digest(b) != digest

@@ -306,16 +306,18 @@ class TestDeterminism:
         f2 = run_diff_experiment(tiny_plan(tmp_path / "b"))
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_d10_traces_identical_across_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("d, k", [(10, 10), (3, 3)], ids=["d10k10", "d3k3"])
+    def test_traces_identical_across_blas_threads(self, tmp_path, d, k):
         # OpenBLAS splits a matrix-vector product over N differently at 1
         # and 2 threads, so a length-N GEMV anywhere on the EM path would
-        # write other bits at the other setting
+        # write other bits at the other setting; the EM scatter's GEMM runs
+        # at every D
         script = (
             "import sys\n"
             "from semgmm import ExperimentPlan, GenSpec, run_bound_experiment,"
             " run_compare_experiment\n"
             "from semgmm.harness import prepare_data\n"
-            "plan = ExperimentPlan(dataset=GenSpec(d=10, k=10, n=50_000, rng_seed=7), k=10,"
+            f"plan = ExperimentPlan(dataset=GenSpec(d={d}, k={k}, n=50_000, rng_seed=7), k={k},"
             " rounds=6, n_inits=1, runs_per_init=2, master_seed=7, out_dir=sys.argv[1])\n"
             "data = prepare_data(plan)\n"
             "run_compare_experiment(plan, data)\n"
@@ -853,6 +855,19 @@ class TestCli:
         assert res.stderr == (
             "semgmm: data error: row 7: point is infinitely unlikely under every component\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["gmm 1 -1\nw 1\n", "gmm 1 0\nw 1\nmu\n"],
+                             ids=["d-negative", "d-zero"])
+    def test_model_without_dimensions_exit_code(self, tmp_path, model):
+        (tmp_path / "ok.csv").write_text("0,1\n1,0\n2,2\n3,1\n")
+        (tmp_path / "m.txt").write_text(model)
+        out = tmp_path / "out"
+        res = run_cli("fit-em", "--data", tmp_path / "ok.csv", "--model", tmp_path / "m.txt",
+                      "--rounds", 1, "--out", out)
+        assert res.returncode == 2
+        assert "semgmm: data error:" in res.stderr
+        assert "Traceback" not in res.stderr
         assert not out.exists()
 
     def test_undecodable_csv_exit_code(self, tmp_path):

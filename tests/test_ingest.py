@@ -279,6 +279,19 @@ class TestModelRoundTrip:
         with pytest.raises(DataError, match="gmm"):
             load_model(path)
 
+    @pytest.mark.parametrize("text", [
+        "gmm 1 -1\nw 1\n",
+        "gmm 1 0\nw 1\nmu\n",
+        "gmm 0 2\n",
+        "gmm -1 2\n",
+    ], ids=["d-negative", "d-zero", "k-zero", "k-negative"])
+    def test_header_without_components_or_dimensions(self, tmp_path, text):
+        # rejected before anything is allocated from the header
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match="K >= 1 and D >= 1"):
+            load_model(path)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "trunc.txt"
         path.write_text("gmm 2 1\nw 0.5\nmu 0\nsigma 1\n")

@@ -257,8 +257,8 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("vanishing", [False, True], ids=["soft", "vanishing"])
     def test_em_params(self, d, edge, offset, scale, vanishing):
         # N at and around the EM M-step's own block width, whose buffer
-        # holds D+1 rows
-        n = EDGES[edge](block_width(d + 1))
+        # holds 2D rows
+        n = EDGES[edge](block_width(2 * d))
         if n > 1:
             check_em_params(d, offset, scale, n=n, vanishing=vanishing)
             return

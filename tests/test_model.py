@@ -165,6 +165,10 @@ class TestMixtureModel:
             assert model.k == k
             assert calls == [(k, d, d)] * 2
 
+    def test_zero_dimensions_rejected(self):
+        with pytest.raises(InvalidModelError, match="at least one dimension"):
+            MixtureModel([1.0], np.zeros((1, 0)), np.zeros((1, 0, 0)))
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(InvalidModelError, match="positive"):
             MixtureModel([1.0, 0.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]])

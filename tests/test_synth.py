@@ -166,6 +166,9 @@ class TestInitialize:
         data = DataSet(np.zeros((10, 2)))
         with pytest.raises(DataError, match="distinct"):
             initialize(data, 2, substream(105))
+        # one component has no second point to be distinct from
+        with pytest.raises(DataError, match="^every point coincides; cannot initialize$"):
+            initialize(DataSet([[1.0, 2.0]] * 3), 1, substream(105))
 
     def test_needs_enough_points(self):
         data = DataSet([[0.0], [1.0]])

@@ -14,11 +14,13 @@ the `end_to_end` list of the change checkout's BENCHMARK.json.  Per workload
 and metric the record gives both sides' medians, the parent's own
 quartiles, the pairs the change wins, the median of the paired differences
 (change minus parent) and a verdict (see `verdict`), next to every run and
-the environment.
+the environment, which holds each side's `src_digest` (see `src_digest`)
+so that the record names the code it measured even without a git checkout.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import resource
 import statistics
@@ -32,6 +34,23 @@ def end_to_end(checkout: Path) -> dict[str, tuple[str, float]]:
     name -> (better, bound)."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+#: the files whose bytes decide what the benchmark measures
+DIGEST_FILES = ("src/**/*.py", "bench/**/*.py", "BENCHMARK.json")
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of the checkout's
+    DIGEST_FILES; each file enters as its path, a NUL, its byte count and
+    its bytes."""
+    paths = sorted(p.relative_to(checkout).as_posix()
+                   for pattern in DIGEST_FILES for p in checkout.glob(pattern))
+    h = hashlib.sha256()
+    for rel in paths:
+        data = (checkout / rel).read_bytes()
+        h.update(rel.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -114,7 +133,7 @@ def summary(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
     return out
 
 
-def record(description: str, seconds: float, envs: dict, runs: list[dict],
+def record(description: str, seconds: float, envs: dict, digests: dict, runs: list[dict],
            metrics: dict[str, tuple[str, float]]) -> dict:
     env = envs["parent"]
     blas = env["blas"]
@@ -132,6 +151,7 @@ def record(description: str, seconds: float, envs: dict, runs: list[dict],
             "blas": blas,
             "parent_git_sha": envs["parent"]["git_sha"],
             "change_git_sha": envs["change"]["git_sha"],
+            "src_digest": digests,
         },
         **summary(runs, metrics),
         "runs": runs,
@@ -151,6 +171,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     metrics = end_to_end(args.change)
+    digests = {side: src_digest(getattr(args, side)) for side in ("parent", "change")}
     runs, envs = [], {}
     for workload in args.workload:
         for i in range(args.pairs):
@@ -162,7 +183,7 @@ def main(argv=None) -> int:
                 runs.append({"side": side, "workload": workload, "seed": seed, **run})
                 print(json.dumps(runs[-1]), flush=True)
             # written after every pair, so an interrupted batch keeps its runs
-            rec = record(args.description, args.seconds, envs, runs, metrics)
+            rec = record(args.description, args.seconds, envs, digests, runs, metrics)
             args.out.write_text(json.dumps(rec, indent=1) + "\n")
     return 0
 
