@@ -17,7 +17,7 @@ import numpy as np
 
 from .em import em_m_step, em_means
 from .estep import ResponsibilityMatrix
-from .model import DataSet, MixtureModel, column_blocks, hard_means, hard_params
+from .model import DataSet, MixtureModel, centred_blocks, hard_means, hard_params
 from .sem import sample_assignment
 
 E = math.e
@@ -87,32 +87,10 @@ def lambda_cov(rho_kij, spread_i, spread_j, delta: float):
     return _deviation_lambda(rho_kij, spread_i * spread_j, delta)
 
 
-def _centred_blocks(resp: ResponsibilityMatrix, data: DataSet, centres: np.ndarray):
-    """The one blocked centring pass behind tau and rho: per column block of
-    the D x N coordinate rows (column_blocks for the wider of the D x B and
-    K x B temporaries) and per component k, yields (k, xc, q, spare), with xc
-    the block's columns centred on centres[k], q the block's row of
-    p_k (1 - p_k) and spare a second D x B array for the caller's products.
-    xc and spare are reused buffers: overwrite them, but do not keep them."""
-    pt = resp.probs.T
-    k_total, n = pt.shape
-    d = data.d
-    xt = data.points.T
-    centres = np.asarray(centres)[:, :, None]
-    blocks = column_blocks(n, max(d, k_total))
-    q_buf = np.empty(k_total * blocks[0].stop)
-    xc_buf = np.empty((2, d * blocks[0].stop))
-    for cols in blocks:
-        width = cols.stop - cols.start
-        q = q_buf[: k_total * width].reshape(k_total, width)
-        xc, spare = xc_buf[:, : d * width].reshape(2, d, width)
-        p = pt[:, cols]
-        np.subtract(1.0, p, out=q)
-        q *= p
-        x = xt[:, cols]
-        for k in range(k_total):
-            np.subtract(x, centres[k], out=xc)
-            yield k, xc, q[k], spare
+def _variance_weights(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """q = (1 - p) p, the variance of each point's indicator, into `out`."""
+    np.subtract(1.0, p, out=out)
+    return np.multiply(out, p, out=out)
 
 
 def compute_tau(
@@ -120,12 +98,13 @@ def compute_tau(
 ) -> np.ndarray:
     """K x D matrix tau[k, d] = sqrt(sum_n p_nk (1-p_nk) (x_n - mu_k)_d^2).
 
-    Summed over the blocks of _centred_blocks: each centred block is
-    squared in place and reduced with a matrix-vector product against its
-    row of q = p (1-p).
+    Summed over the blocks of model.centred_blocks: each centred block is
+    squared in place and reduced with a matrix-vector product against the
+    block's q = p_k (1-p_k), formed in the first row of the spare half.
     """
     acc = np.zeros(np.shape(em_means))
-    for k, xc, q, _ in _centred_blocks(resp, data, em_means):
+    for cols, k, xc, spare in centred_blocks(data, em_means, range(len(acc))):
+        q = _variance_weights(resp.probs[cols, k], spare[0])
         xc *= xc
         acc[k] += xc @ q
     return np.sqrt(acc)
@@ -142,21 +121,24 @@ def compute_rho(
 
     With xc = x - mu_k and q = p (1-p), the sum expands to
     (xc^2)^T (q xc^2) - 2 Sigma_k o xc^T (q xc) + Sigma_k^2 sum q, two
-    D x D matrix products and one sum of q per block of _centred_blocks,
-    so the N outer products are never formed.  The expansion subtracts;
-    rounding below zero is clamped to 0.
+    D x D matrix products and one sum of q per block of
+    model.centred_blocks, so the N outer products are never formed.  The
+    expansion subtracts; rounding below zero is clamped to 0.
     """
     k_total, d = np.shape(em_means)
     fourth = np.zeros((k_total, d, d))
     second = np.zeros((k_total, d, d))
     q_sum = np.zeros(k_total)
-    for k, xc, q, qxc in _centred_blocks(resp, data, em_means):
-        np.multiply(xc, q, out=qxc)
+    for cols, k, xc, qxc in centred_blocks(data, em_means, range(k_total)):
+        # q goes into qxc's first row, which becomes q xc[0] last
+        q = _variance_weights(resp.probs[cols, k], qxc[0])
+        q_sum[k] += q.sum()
+        np.multiply(xc[1:], q, out=qxc[1:])
+        q *= xc[0]
         second[k] += xc @ qxc.T
         qxc *= xc
         xc *= xc
         fourth[k] += xc @ qxc.T
-        q_sum[k] += q.sum()
     acc = fourth - 2.0 * em_covs * second + em_covs * em_covs * q_sum[:, None, None]
     return np.sqrt(np.maximum(acc, 0.0))
 

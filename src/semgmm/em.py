@@ -11,8 +11,8 @@ from .model import (
     DegeneracyError,
     MixtureModel,
     PartialParams,
+    centred_blocks,
     cholesky_screen,
-    column_blocks,
     hard_means,
     hard_params,
 )
@@ -81,9 +81,9 @@ def _em_params(
 
     The weighted scatter sum_n p_nk (x_n - mu_k)(x_n - mu_k)^T is w y^T,
     with y the centred coordinate rows and w = p_k y.  It is summed over
-    the column blocks of the points: per block and live component, one
-    general product (GEMM, all D^2 entries) of the two D-row halves of one
-    reused 2D x B buffer, so the M-step holds no D x N temporary.
+    the blocks of model.centred_blocks: per block and live component, one
+    general product (GEMM, all D^2 entries) of y and w, the two D-row
+    halves of its reused buffer, so the M-step holds no D x N temporary.
     """
     live = _live(resp, data)
     p = resp.probs
@@ -94,20 +94,12 @@ def _em_params(
         means, covs = hard.means, hard.covariances
     else:
         means = _weighted_means(resp, data, live)
-        xt = data.points.T
         d = data.d
         alive = np.flatnonzero(live)
         scatter = np.zeros((k_total, d, d))
-        # y and w = p_k y share one reused block of 2D rows
-        blocks = column_blocks(data.n, 2 * d)
-        buf = np.empty(2 * d * blocks[0].stop)
-        for cols in blocks:
-            y, w = buf[: 2 * d * (cols.stop - cols.start)].reshape(2, d, -1)
-            x = xt[:, cols]
-            for k in alive:
-                np.subtract(x, means[k][:, None], out=y)
-                np.multiply(y, p[cols, k], out=w)
-                scatter[k] += w @ y.T
+        for cols, k, y, w in centred_blocks(data, means, alive):
+            np.multiply(y, p[cols, k], out=w)
+            scatter[k] += w @ y.T
         covs = np.full((k_total, d, d), np.nan)
         cov = scatter[alive] / r[alive, None, None]
         covs[alive] = 0.5 * (cov + cov.transpose(0, 2, 1))

@@ -389,6 +389,24 @@ def column_blocks(n: int, rows: int) -> list[slice]:
     return blocks
 
 
+def centred_blocks(data: DataSet, centres, components):
+    """The one pass behind every moment about a centre: per block of
+    column_blocks(N, 2D) and per component k of `components`, yields
+    (cols, k, y, spare), y the block's D coordinate rows centred on
+    centres[k] and spare the other D-row half of one reused 2D x B buffer,
+    so no caller holds a D x N temporary.  Overwrite y and spare; keep neither."""
+    d = data.d
+    xt = data.points.T
+    blocks = column_blocks(data.n, 2 * d)
+    buf = np.empty(2 * d * blocks[0].stop)
+    for cols in blocks:
+        y, spare = buf[: 2 * d * (cols.stop - cols.start)].reshape(2, d, -1)
+        x = xt[:, cols]
+        for k in components:
+            np.subtract(x, centres[k][:, None], out=y)
+            yield cols, k, y, spare
+
+
 def component_log_joint(model: MixtureModel, data: DataSet) -> np.ndarray:
     """N x K matrix of ln w_k + ln N(x_n | mu_k, Sigma_k).
 

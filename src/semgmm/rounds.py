@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    DataError, DataSet, DegeneracyError, MixtureModel, PartialParams, cholesky_screen
+    DataError, DataSet, DegeneracyError, MixtureModel, PartialParams, centred_blocks,
+    cholesky_screen,
 )
 from .rng import check_seed
 
@@ -52,12 +53,13 @@ def seeded_covariance(mu: np.ndarray, others: np.ndarray, data: DataSet) -> np.n
     """The seeding rule of every fresh component: I * dist2 / (2D), where
     dist2 is the squared distance from `mu` to the nearest row of `others`,
     or, with no others, the data's mean squared distance to `mu` (which
-    keeps the data's scale).  None when dist2 is 0."""
+    keeps the data's scale), summed over the blocks of centred_blocks.
+    None when dist2 is 0."""
     d = data.d
     if others.size:
         dist2 = float(((others - mu) ** 2).sum(axis=1).min())
     else:
-        dist2 = float(((data.points - mu) ** 2).sum(axis=1).mean())
+        dist2 = float(sum(np.vdot(y, y) for _, _, y, _ in centred_blocks(data, [mu], [0])) / data.n)
     if dist2 > 0.0:
         return np.eye(d) * (dist2 / (2.0 * d))
     return None

@@ -24,19 +24,23 @@ def sample_assignment(weights, rng: np.random.Generator) -> Assignment:
 
     `weights` is a ResponsibilityMatrix or any N x K array of non-negative
     rows with positive sums, such as estep.posterior_weights: no row needs to
-    be normalized.  Inverse CDF per row: the label is the first k whose
-    running sum exceeds u * rowsum.  A draw that rounding sends to the row
-    total falls on the row's last positive entry.  A row whose total is not
-    finite (a NaN or infinite entry) or not positive is a DataError naming
-    the row; a negative entry in a row with a positive total is a
-    precondition, not checked.  The N uniforms are drawn in one call; the
-    running sums are then accumulated over column blocks of the K x N
-    transpose (the E-step's own layout), component by component, adding in
-    the same order as a row-wise cumulative sum, and each block's
+    be normalized.  Weights that are not 2-d, or not of a boolean, integer
+    or float dtype, are a DataError.  Inverse CDF per row: the label is the
+    first k whose running sum exceeds u * rowsum.  A draw that rounding
+    sends to the row total falls on the row's last positive entry.  A row
+    whose total is not finite (a NaN or infinite entry) or not positive is
+    a DataError naming the row; a negative entry in a row with a positive
+    total is a precondition, not checked.  The N uniforms are drawn in one
+    call; the running sums are then accumulated over column blocks of the
+    K x N transpose (the E-step's own layout), component by component,
+    adding in the same order as a row-wise cumulative sum, and each block's
     comparisons are counted into small-integer labels and into the label
     counts, so the Assignment takes no pass of its own.
     """
-    q = weights.probs if isinstance(weights, ResponsibilityMatrix) else weights
+    q = np.asarray(weights.probs if isinstance(weights, ResponsibilityMatrix) else weights)
+    # a cast to float64 would drop an imaginary part or parse text
+    if q.ndim != 2 or q.dtype.kind not in "biuf":
+        raise DataError(f"weights must be an N x K real array, got {q.ndim}-d {q.dtype}")
     n, k = q.shape
     if not n * k:
         # no points: an empty Assignment; no components: its DataError

@@ -214,9 +214,10 @@ class TestTauRho:
         em = em_m_step(resp, data)
 
         def rho_at_width(width):
-            # block_width(2) is _BLOCK_BYTES // 16 columns
-            monkeypatch.setattr(semgmm.model, "_BLOCK_BYTES", 16 * width)
-            assert len(column_blocks(600, 2)) == -(-600 // width)
+            # centred_blocks' buffer holds 2D rows of 8-byte floats, so
+            # block_width(2D) is _BLOCK_BYTES // (16 D) columns
+            monkeypatch.setattr(semgmm.model, "_BLOCK_BYTES", 16 * data.d * width)
+            assert len(column_blocks(600, 2 * data.d)) == -(-600 // width)
             return compute_rho(resp, data, em.means, em.covariances)
 
         big = rho_at_width(10_000)

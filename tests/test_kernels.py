@@ -20,6 +20,7 @@ from semgmm import (
     assemble_bounds,
     em_m_step,
     generate_mixture,
+    initialize,
     load_csv,
     normalize,
     responsibilities,
@@ -206,6 +207,34 @@ def blocked_instance(seed, d, edge, offset=0.0, scale=1.0):
     return data, model
 
 
+def centred_instance(seed, d, k, edge, offset, scale):
+    """shifted_instance with K components and EDGES[edge](B) points, for the
+    width B of model.centred_blocks, whose buffer holds 2D rows."""
+    n = EDGES[edge](block_width(2 * d))
+    data, model, _ = shifted_instance(seed, d, offset, scale, n=n, k=k)
+    return data, model
+
+
+def check_blocked_tau(d, k, edge, offset, scale):
+    data, model = centred_instance(98, d, k, edge, offset, scale)
+    resp = responsibilities(model, data)
+    np.testing.assert_allclose(
+        compute_tau(resp, data, model.means),
+        full_tau(resp.probs, data.points, model.means),
+        rtol=1e-13, atol=0,
+    )
+
+
+def check_blocked_rho(d, k, edge, offset, scale):
+    data, model = centred_instance(99, d, k, edge, offset, scale)
+    resp = responsibilities(model, data)
+    np.testing.assert_allclose(
+        compute_rho(resp, data, model.means, model.covariances),
+        chunked_rho(resp.probs, data.points, model.means, model.covariances),
+        rtol=1e-10, atol=0,
+    )
+
+
 def test_column_blocks_cover_evenly():
     for rows in (1, 3, 10, 1000, 50_000):
         b = block_width(rows)
@@ -245,13 +274,7 @@ class TestBlockedKernels:
 
     @SHIFTS
     def test_tau(self, d, edge, offset, scale):
-        data, model = blocked_instance(98, d, edge, offset, scale)
-        resp = responsibilities(model, data)
-        np.testing.assert_allclose(
-            compute_tau(resp, data, model.means),
-            full_tau(resp.probs, data.points, model.means),
-            rtol=1e-13, atol=0,
-        )
+        check_blocked_tau(d, d, edge, offset, scale)
 
     @SHIFTS
     @pytest.mark.parametrize("vanishing", [False, True], ids=["soft", "vanishing"])
@@ -274,13 +297,16 @@ class TestBlockedKernels:
 
     @SHIFTS
     def test_rho(self, d, edge, offset, scale):
-        data, model = blocked_instance(99, d, edge, offset, scale)
-        resp = responsibilities(model, data)
-        np.testing.assert_allclose(
-            compute_rho(resp, data, model.means, model.covariances),
-            chunked_rho(resp.probs, data.points, model.means, model.covariances),
-            rtol=1e-10, atol=0,
-        )
+        check_blocked_rho(d, d, edge, offset, scale)
+
+
+@pytest.mark.parametrize("edge", EDGES)
+@SHIFTS
+def test_tau_and_rho_with_more_components_than_rows(edge, offset, scale):
+    # D1 K3: K exceeds the 2D rows of centred_blocks' buffer, so a block
+    # rule sized by K would cut these blocks elsewhere
+    check_blocked_tau(1, 3, edge, offset, scale)
+    check_blocked_rho(1, 3, edge, offset, scale)
 
 
 def _sampled(tmp_path):
@@ -313,19 +339,22 @@ def test_coordinate_major_single_buffer(tmp_path, build):
     assert np.shares_memory(base, data.points)
 
 
-#: a round or a bound evaluation may allocate at most this many
-#: N x max(D, K) float64 arrays at once; measured at D10/K10/N1e5: em_round
-#: 1.30, em_m_step 0.071, sem_round 1.30, assemble_bounds 0.19, cov_bound
-#: 0.20 (with rho), so one more full-size copy in any of them fails.
-#: em_m_step is measured on given responsibilities, so that it counts the
-#: M-step alone; cov_bound is measured after the report's EM update has been
-#: computed, so that it counts rho and the bound algebra alone
+#: a round, a bound evaluation or a K = 1 initialisation may allocate at
+#: most this many N x max(D, K) float64 arrays at once; measured at
+#: D10/K10/N1e5: em_round 1.30, em_m_step 0.073, sem_round 1.30,
+#: assemble_bounds 0.066, cov_bound 0.074 (with rho), initialize_k1 0.068,
+#: so one more full-size copy in any of them fails.  em_m_step is measured
+#: on given responsibilities, so that it counts the M-step alone; cov_bound
+#: is measured after the report's EM update has been computed, so that it
+#: counts rho and the bound algebra alone; initialize_k1 seeds its one
+#: component's covariance from the data's mean squared distance to its mean
 PEAK_ARRAYS = {
     "em_round": 1.5,
     "em_m_step": 0.5,
     "sem_round": 2.0,
     "assemble_bounds": 1.0,
     "cov_bound": 1.0,
+    "initialize_k1": 0.25,
 }
 
 
@@ -342,6 +371,7 @@ def test_peak_memory_of_a_round_and_a_bound():
         "sem_round": lambda: sem_round(model0, data, cfg, 0),
         "assemble_bounds": lambda: assemble_bounds(resp, data, 0.01),
         "cov_bound": lambda: report.cov_bound,
+        "initialize_k1": lambda: initialize(data, 1, substream(95, 4)),
     }
     peaks = {}
     tracemalloc.start()

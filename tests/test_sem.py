@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -204,6 +205,34 @@ class TestSampleUnnormalizedRows:
                 sample_assignment(rows, substream(63))
             rows[row] = 0.5
         assert sample_assignment(rows, substream(63)).k == 2
+
+    def test_malformed_weights_rejected(self):
+        # these used to escape as AttributeError, ValueError, or a
+        # ComplexWarning and then a UFuncTypeError
+        rows = [[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]]
+        np.testing.assert_array_equal(
+            sample_assignment(rows, substream(64)).labels,
+            sample_assignment(np.array(rows), substream(64)).labels,
+        )
+        bad = [np.ones(3), np.ones((2, 2, 2)), np.array([["1", "2"]]), np.array([[1j, 1.0]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for weights in bad:
+                with pytest.raises(DataError, match="weights must be an N x K real array"):
+                    sample_assignment(weights, substream(64))
+
+    def test_broadcast_row_is_not_copied(self):
+        # the ancestral sampler of synth passes N copies of one weight row as
+        # a broadcast view; a copy would take n * k floats
+        n, k = 200_000, 10
+        rows = np.broadcast_to(np.full(k, 1.0 / k), (n, k))
+        tracemalloc.start()
+        try:
+            sample_assignment(rows, substream(65))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * 8 / 4
 
     def test_negative_entry_under_a_positive_total_is_a_precondition(self):
         # not checked, to keep the common path free of a per-entry pass
